@@ -19,8 +19,9 @@ applied to unrelated VPs and prefixes.
 
 Announcements are never materialised en masse: iterate
 :meth:`RibSeries.records` for the deduplicated per-(VP, prefix) view
-with day counts, or :meth:`RibSeries.announcements` for a specific
-day's stream.
+with day counts, :meth:`RibSeries.record_blocks` for the same view as
+integer id columns (what the sanitizer consumes), or
+:meth:`RibSeries.announcements` for a specific day's stream.
 """
 
 from __future__ import annotations
@@ -28,12 +29,16 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator
+
+import numpy as np
 
 from repro.bgp.anomalies import AnomalyConfig, InjectionSummary, inject_anomalies
 from repro.bgp.announcement import Announcement, RibRecord
 from repro.bgp.collectors import VantagePoint
 from repro.bgp.propagation import RoutingOutcome
+from repro.bgp.records import BLOCK_RECORDS, ROW, RecordBlock, RecordBlocks
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.obs.trace import NULL_TRACER
@@ -268,6 +273,82 @@ class RibSeries:
                 days_present=days - absent,
                 total_days=days,
             )
+
+    def record_blocks(self, family: int | None = None) -> RecordBlocks:
+        """:meth:`records` as id-column blocks, row for row.
+
+        Restricted to one address family when ``family`` is given. The
+        path table is the propagated paths followed by the anomaly
+        overrides; each block holds whole VP rows (at least
+        ``BLOCK_RECORDS`` rows, except the last), and generation is
+        lazy — a run of VP rows is built only when its block is pulled.
+        """
+        prefixes = [prefix for prefix, _ in self.prefix_table]
+        paths = list(self._paths.values())
+        paths.extend(self.overrides.values())
+        return RecordBlocks(self.vps, prefixes, paths, self._blocks(prefixes, family))
+
+    def _blocks(
+        self, prefixes: list[Prefix], family: int | None
+    ) -> Iterator[RecordBlock]:
+        # (VP ASN, origin) → path id, as a sorted 64-bit key column; one
+        # searchsorted per VP row replaces a dict probe per record
+        count = len(self._paths)
+        if not count:
+            return
+        pairs = np.fromiter(
+            chain.from_iterable(self._paths), dtype=np.uint64, count=2 * count
+        ).reshape(count, 2)
+        keys = (pairs[:, 0] << np.uint64(32)) | pairs[:, 1]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        order = order.astype(ROW)
+        origins = np.array(
+            [origin for _, origin in self.prefix_table], dtype=np.uint64
+        )
+        wanted = np.array(
+            [family is None or prefix.version == family for prefix in prefixes],
+            dtype=bool,
+        )
+        days = self.config.days
+        present_days = np.array([
+            days - len(self.unstable_days.get(index, ()))
+            for index in range(len(prefixes))
+        ], dtype=ROW)
+        missing: dict[int, list[int]] = {}
+        for vp_index, prefix_index in self._missing:
+            missing.setdefault(vp_index, []).append(prefix_index)
+        overrides: dict[int, tuple[list[int], list[int]]] = {}
+        for pid, (vp_index, prefix_index) in enumerate(self.overrides, count):
+            row = overrides.setdefault(vp_index, ([], []))
+            row[0].append(prefix_index)
+            row[1].append(pid)
+        pending: list[RecordBlock] = []
+        filled = 0
+        for vp_index, vp in enumerate(self.vps):
+            codes = (np.uint64(vp.asn) << np.uint64(32)) | origins
+            slots = np.searchsorted(keys, codes)
+            slots[slots == count] = 0
+            carried = wanted & (keys[slots] == codes)
+            carried[missing.get(vp_index, [])] = False
+            row_paths = order[slots]
+            override = overrides.get(vp_index)
+            if override is not None:
+                row_paths[override[0]] = override[1]
+            picked = np.flatnonzero(carried)
+            pending.append(RecordBlock(
+                vp=np.full(len(picked), vp_index, dtype=ROW),
+                prefix=picked.astype(ROW),
+                path=row_paths[picked],
+                days=present_days[picked],
+                total=np.full(len(picked), days, dtype=ROW),
+            ))
+            filled += len(picked)
+            if filled >= BLOCK_RECORDS:
+                yield RecordBlock.concat(pending)
+                pending, filled = [], 0
+        if filled:
+            yield RecordBlock.concat(pending)
 
     def announcements(self, day: int) -> Iterator[Announcement]:
         """Stream one day's RIB (0-based day index)."""

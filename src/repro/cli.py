@@ -549,11 +549,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "trace":
-        _, tracer = run_traced(
+        traced, tracer = run_traced(
             args.world, args.seed, args.country,
             capture_memory=args.memory, world=world,
             store_backend=args.store, spill_dir=args.spill_dir,
         )
+        traced.close()
         if args.json:
             print(to_jsonl(tracer))
         elif args.prom:
@@ -573,6 +574,17 @@ def main(argv: list[str] | None = None) -> int:
             store_backend=args.store, spill_dir=args.spill_dir,
         ),
     )
+    try:
+        _run_command(args, world, result)
+    finally:
+        result.close()
+    return 0
+
+
+def _run_command(
+    args: argparse.Namespace, world: World, result: PipelineResult
+) -> None:
+    """Print one pipeline-backed subcommand's output."""
     if args.command == "rank":
         ranking = result.ranking(args.metric, args.country)
         print(ranking.render(args.k, result.as_name))
@@ -649,7 +661,6 @@ def main(argv: list[str] | None = None) -> int:
         written = release_dataset(result, args.directory, countries)
         for key, path in written.items():
             print(f"{key:>14}: {path}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -95,12 +95,13 @@ class PipelineConfig:
     #: deterministic fault-injection plan (tests and ``make faults``
     #: exercise failure paths with it; None injects nothing)
     faults: "FaultPlan | None" = None
-    #: sanitized-record store backend: ``"memory"`` keeps the record
-    #: list in RAM (the default; numpy SoA mirror with a stdlib-array
-    #: fallback), ``"mmap"`` streams accepted records into an on-disk
-    #: spill and maps it read-only (bounded RSS — the ``large`` tier's
-    #: mode). Output bytes are identical across backends, so neither
-    #: knob is semantic (see ``SEMANTIC_KNOBS``).
+    #: sanitized-record store backend: ``"memory"`` keeps the store's
+    #: numpy columns and the record list in RAM (the default),
+    #: ``"mmap"`` streams each judged block's accepted rows into an
+    #: on-disk spill and maps it read-only (bounded RSS — the ``large``
+    #: tier's mode). Both come out of the same column builder and
+    #: output bytes are identical across backends, so neither knob is
+    #: semantic (see ``SEMANTIC_KNOBS``).
     store_backend: str = "memory"
     #: spill directory for the mmap backend; ``None`` uses a run-scoped
     #: temp dir removed by :meth:`PipelineResult.close`. Pass a real
@@ -516,10 +517,7 @@ class Pipeline:
             )
             vp_geo = VPGeolocator(world.collectors)
             graph = world.graph
-            family_records = (
-                record for record in ribs.records()
-                if record.prefix.version == config.family
-            )
+            family_blocks = ribs.record_blocks(config.family)
             spill_tmp: str | None = None
             if config.store_backend == "mmap":
                 import tempfile
@@ -532,7 +530,7 @@ class Pipeline:
                         prefix="repro-spill-"
                     )
                 paths = sanitize_to_store(
-                    family_records,
+                    family_blocks,
                     clique=graph.clique(),
                     is_allocated=graph.asn_registry.is_allocated,
                     route_servers=graph.route_servers(),
@@ -543,7 +541,7 @@ class Pipeline:
                 )
             else:
                 paths = sanitize(
-                    family_records,
+                    family_blocks,
                     clique=graph.clique(),
                     is_allocated=graph.asn_registry.is_allocated,
                     route_servers=graph.route_servers(),

@@ -19,20 +19,33 @@ route-server ASNs are removed (neither rejects the path).
 
 All counts are reported in announcement units (one VP × prefix × day),
 matching the paper's accounting of 248M announcements.
+
+Input records are never objects here: the input is a stream of
+:class:`~repro.bgp.records.RecordBlock` id columns, the :class:`Judge`
+decides once per VP, per prefix and per distinct path, and each
+record's category is a column gathered from those verdicts. Only the
+accepted rows become :class:`PathRecord` objects, and the path store
+is built from their id columns by
+:class:`repro.perf.pathstore.ColumnBuilder`, not from the objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
 
+import numpy as np
+
 from repro.bgp.announcement import RibRecord
+from repro.bgp.records import RecordBlock, RecordBlocks
 from repro.bgp.collectors import VantagePoint
 from repro.geo.prefix_geo import PrefixGeolocation
 from repro.geo.vp_geo import VPGeolocator
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix, parse_address
-from repro.obs.trace import NULL_TRACER, AnyTracer
+from repro.obs.trace import NULL_TRACER, AnyTracer, NullSpan, Span
 
 if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
     from repro.perf.pathstore import PathStore
@@ -96,13 +109,6 @@ class FilterReport:
     #: how many sample records to retain per category
     sample_limit: int = 5
 
-    def note_rejection(self, category: str, record: RibRecord, weight: int) -> None:
-        """Account one rejected record (and keep it as a sample)."""
-        self.rejected[category] += weight
-        bucket = self.samples.setdefault(category, [])
-        if len(bucket) < self.sample_limit:
-            bucket.append(record)
-
     def rejected_total(self) -> int:
         """All rejected announcements."""
         return sum(self.rejected.values())
@@ -147,6 +153,9 @@ class PathSet:
     #: lazily-built SoA mirror of the records (see :meth:`store`);
     #: derived state, excluded from equality
     _store: object = field(default=None, init=False, repr=False, compare=False)
+    #: the judge and the accepted rows' id columns :func:`sanitize`
+    #: leaves for :meth:`store` to build the columns from
+    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -155,14 +164,21 @@ class PathSet:
         return iter(self.records)
 
     def store(self) -> "PathStore":
-        """The records flattened into a :class:`repro.perf.PathStore`
-        (built on first use, then shared by every array-walking
-        consumer — the suffix bulk-prime and the index's origin
-        buckets). The records list must not be mutated after this."""
+        """The records as a :class:`repro.perf.PathStore` (built on
+        first use, then shared by every array-walking consumer — the
+        suffix bulk-prime and the index's buckets). After
+        :func:`sanitize` it is built straight from the judged id
+        columns; a path set assembled from record objects (a replayed
+        release) interns them. The records must not be mutated after
+        this."""
         if self._store is None:
             from repro.perf.pathstore import PathStore
 
-            self._store = PathStore(self.records)
+            if self._rows is None:
+                self._store = PathStore.from_records(self.records)
+            else:
+                self._store = PathStore.build(*self._rows, self.records)
+                self._rows = None
         return self._store
 
     def vps(self) -> list[VantagePoint]:
@@ -203,7 +219,7 @@ def is_poisoned(path: ASPath, clique: frozenset[int]) -> bool:
 
 
 def sanitize(
-    records: Iterable[RibRecord],
+    records: "Iterable[RibRecord] | RecordBlocks",
     clique: frozenset[int],
     is_allocated: Callable[[int], bool],
     route_servers: frozenset[int],
@@ -213,166 +229,281 @@ def sanitize(
 ) -> PathSet:
     """Run the full Table-1 pipeline over deduplicated RIB records.
 
-    ``tracer`` wraps the pass in a ``sanitize`` span and mirrors the
-    :class:`FilterReport` into ``sanitize.input`` / ``sanitize.accepted``
-    / ``sanitize.dropped.<category>`` counters — the aggregation happens
-    in the report either way, so tracing adds nothing to the per-record
-    loop.
+    ``records`` is the series' :class:`RecordBlocks` or any
+    :class:`RibRecord` stream (interned into blocks). Draining the input
+    runs under a ``ribs.records`` span and the judging under the
+    ``sanitize`` span after it; the result's :class:`PathStore` is
+    built from the judged id columns on first use. ``tracer`` also gets
+    the report as ``sanitize.*`` counters.
     """
+    source = RecordBlocks.of(records)
+    with tracer.span("ribs.records") as span:
+        block = source.collect()
+        span.set(records=len(block))
     with tracer.span("sanitize") as span:
-        path_set = _sanitize(
-            records, clique, is_allocated, route_servers, vp_geo, prefix_geo
+        report = FilterReport()
+        judge = Judge(
+            source, clique, is_allocated, route_servers, vp_geo, prefix_geo
         )
-        report = path_set.report
-        span.set(
-            input=report.total, output=report.accepted,
-            records=len(path_set.records),
-        )
-        metrics = tracer.metrics
-        metrics.counter("sanitize.input").inc(report.total)
-        metrics.counter("sanitize.accepted").inc(report.accepted)
-        for category in REJECT_CATEGORIES:
-            metrics.counter(f"sanitize.dropped.{category}").inc(
-                report.rejected[category]
-            )
+        accepted = judge.judge(block, report)
+        del block
+        path_set = PathSet(records=judge.records(*accepted), report=report)
+        path_set._rows = (judge, *accepted)
+        observe(tracer, span, path_set)
     return path_set
 
 
-def _check_path(
-    path: ASPath,
-    clique: frozenset[int],
-    allocated: dict[int, bool],
-    is_allocated: Callable[[int], bool],
-    route_servers: frozenset[int],
-) -> tuple[str | None, ASPath | None]:
-    """The path-only half of the Table-1 pipeline for one path:
-    ``(reject_category, None)`` or ``(None, cleaned_path)``.
-
-    Exactly the unallocated → loop → poisoned → clean sequence of the
-    per-record loop, with one prepending collapse shared by all three
-    steps (``has_loop``/``is_poisoned``/clean each used to collapse on
-    their own) and per-ASN allocation verdicts memoised in
-    ``allocated`` — the registry answer for an ASN never changes within
-    one pass.
-    """
-    for asn in path.asns:
-        verdict = allocated.get(asn)
-        if verdict is None:
-            verdict = allocated[asn] = bool(is_allocated(asn))
-        if not verdict:
-            return ("unallocated", None)
-    collapsed = path.collapse_prepending()
-    asns = collapsed.asns
-    if len(set(asns)) != len(asns):
-        return ("loop", None)
-    if not clique.isdisjoint(asns):
-        for index in range(1, len(asns) - 1):
-            if (
-                asns[index] not in clique
-                and asns[index - 1] in clique
-                and asns[index + 1] in clique
-            ):
-                return ("poisoned", None)
-    if route_servers and not route_servers.isdisjoint(asns):
-        collapsed = collapsed.without(route_servers)
-    return (None, collapsed)
-
-
-def _sanitize(
-    records: Iterable[RibRecord],
-    clique: frozenset[int],
-    is_allocated: Callable[[int], bool],
-    route_servers: frozenset[int],
-    vp_geo: VPGeolocator,
-    prefix_geo: PrefixGeolocation,
-) -> PathSet:
-    report = FilterReport()
-    out = list(sanitize_stream(
-        records, clique, is_allocated, route_servers, vp_geo, prefix_geo,
-        report,
-    ))
-    return PathSet(records=out, report=report)
-
-
-def sanitize_stream(
-    records: Iterable[RibRecord],
-    clique: frozenset[int],
-    is_allocated: Callable[[int], bool],
-    route_servers: frozenset[int],
-    vp_geo: VPGeolocator,
-    prefix_geo: PrefixGeolocation,
-    report: FilterReport,
-) -> Iterator[PathRecord]:
-    """The Table-1 pass as a generator of accepted records.
-
-    Yields each surviving :class:`PathRecord` as soon as its input
-    record has been judged, mutating ``report`` as a side effect — the
-    streaming protocol the out-of-core spill ingestion
-    (:mod:`repro.perf.spill`) consumes without ever holding the record
-    list. :func:`sanitize` is this generator collected into a
-    :class:`PathSet`; both paths are value-identical record for record.
-
-    A consumer that checkpoints mid-stream may rely on this invariant:
-    whenever a record is yielded, ``report`` accounts for exactly the
-    input records consumed so far (the per-entity memos are pure, so a
-    resumed pass re-derives identical verdicts).
-    """
-    # Per-entity memos: path verdicts repeat across records sharing a
-    # path object/value, VP location depends only on the collector,
-    # and each prefix resolves its (covered, country, addresses) fate
-    # once. All three underliers are pure within one pass.
-    path_verdicts: dict[ASPath, tuple[str | None, ASPath | None]] = {}
-    allocated: dict[int, bool] = {}
-    collector_country: dict[str, str | None] = {}
-    prefix_fate: dict[Prefix, tuple[str | None, str | None, int]] = {}
-    covered = prefix_geo.covered
-    owned = prefix_geo.owned_addresses
-    for record in records:
-        weight = record.days_present
-        report.total += weight
-        if not record.stable:
-            report.note_rejection("unstable", record, weight)
-            continue
-        path = record.path
-        verdict = path_verdicts.get(path)
-        if verdict is None:
-            verdict = path_verdicts[path] = _check_path(
-                path, clique, allocated, is_allocated, route_servers
-            )
-        category, cleaned = verdict
-        if category is not None:
-            report.note_rejection(category, record, weight)
-            continue
-        vp_country = collector_country.get(record.vp.collector, "")
-        if vp_country == "":
-            vp_country = vp_geo.country(record.vp)
-            collector_country[record.vp.collector] = vp_country
-        if vp_country is None:
-            report.note_rejection("vp_no_location", record, weight)
-            continue
-        prefix = record.prefix
-        fate = prefix_fate.get(prefix)
-        if fate is None:
-            if prefix in covered:
-                fate = ("covered", None, 0)
-            else:
-                country = prefix_geo.country(prefix)
-                fate = (
-                    ("prefix_no_location", None, 0) if country is None
-                    else (None, country, owned.get(prefix, 0))
-                )
-            prefix_fate[prefix] = fate
-        prefix_category, prefix_country, addresses = fate
-        if prefix_category is not None:
-            report.note_rejection(prefix_category, record, weight)
-            continue
-        assert cleaned is not None and prefix_country is not None
-        report.accepted += weight
-        yield PathRecord(
-            vp=record.vp,
-            vp_country=vp_country,
-            prefix=prefix,
-            prefix_country=prefix_country,
-            path=cleaned,
-            addresses=addresses,
+def observe(tracer: AnyTracer, span: "Span | NullSpan", path_set: PathSet) -> None:
+    """Mirror a finished pass's report onto its span and counters."""
+    report = path_set.report
+    span.set(
+        input=report.total, output=report.accepted,
+        records=len(path_set.records),
+    )
+    metrics = tracer.metrics
+    metrics.counter("sanitize.input").inc(report.total)
+    metrics.counter("sanitize.accepted").inc(report.accepted)
+    for category in REJECT_CATEGORIES:
+        metrics.counter(f"sanitize.dropped.{category}").inc(
+            report.rejected[category]
         )
+
+
+#: a record's Table-1 code: 0 = accepted, then each rejection category
+#: in evaluation order (``REJECT_CATEGORIES[code - 1]``)
+ACCEPTED = 0
+(UNSTABLE, UNALLOCATED, LOOP, POISONED, VP_NO_LOCATION, COVERED,
+ PREFIX_NO_LOCATION) = range(1, len(REJECT_CATEGORIES) + 1)
+#: a path code only: a path of route servers alone, which cleaning
+#: would empty (an error once a stable record reaches it)
+UNCLEANABLE = len(REJECT_CATEGORIES) + 1
+
+#: distinct paths judged per numpy pass, and records materialized per
+#: pass (each bounds the pass's temporaries)
+PATH_CHUNK = 1 << 14
+RECORDS_PER_PASS = 1 << 16
+
+
+class Judge:
+    """Table-1 verdicts for one :class:`RecordBlocks` source, computed
+    once per entity and broadcast to records by id.
+
+    * **per distinct path** (numpy over one flat token column):
+      allocation through one registry lookup per distinct ASN,
+      prepending collapse, non-adjacent repeats, a non-clique AS between
+      two clique ASes, and route-server removal for the survivors;
+    * **per VP** (memoised by collector) and **per prefix** (covered /
+      no majority country / owned addresses), on first need.
+
+    :meth:`judge` then takes each record's code as the first non-zero
+    of unstable → path → VP → prefix, so the categories stay disjoint
+    in Table-1 order. Distinct raw paths can clean to one value; the
+    store's builder interns them by that value.
+    """
+
+    def __init__(
+        self,
+        source: RecordBlocks,
+        clique: frozenset[int],
+        is_allocated: Callable[[int], bool],
+        route_servers: frozenset[int],
+        vp_geo: VPGeolocator,
+        prefix_geo: PrefixGeolocation,
+    ) -> None:
+        self.source = source
+        self._clique = np.array(sorted(clique), dtype=np.int64)
+        self._route_servers = np.array(sorted(route_servers), dtype=np.int64)
+        self._is_allocated = is_allocated
+        self._vp_geo = vp_geo
+        self._prefix_geo = prefix_geo
+        self._allocated: dict[int, bool] = {}  # ASN → registry verdict
+        self._collector_country: dict[str, str | None] = {}
+        #: per raw path: 0, UNALLOCATED, LOOP, POISONED or UNCLEANABLE
+        self.path_code = np.zeros(0, dtype=np.int8)
+        #: per raw path: the cleaned path (``None`` unless code 0)
+        self.cleaned: list[ASPath | None] = []
+        #: per VP: VP_NO_LOCATION or 0 (-1 = not judged yet)
+        self.vp_code = np.zeros(0, dtype=np.int8)
+        #: per VP: (VantagePoint, country) once judged
+        self.vp_rows: list[tuple[VantagePoint, str | None] | None] = []
+        #: per prefix: COVERED, PREFIX_NO_LOCATION or 0 (-1 = not judged)
+        self.prefix_code = np.zeros(0, dtype=np.int8)
+        #: per prefix: (Prefix, country, owned addresses) once judged
+        self.prefix_rows: list[tuple[Prefix, str | None, int] | None] = []
+
+    # -- per-record codes ---------------------------------------------------
+
+    def judge(
+        self, block: RecordBlock, report: FilterReport
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Account ``block`` in ``report``; return the accepted rows as
+        ``(vp ids, prefix ids, path ids)`` columns."""
+        paths = self.source.paths
+        if len(self.cleaned) < len(paths):
+            self._judge_paths(paths[len(self.cleaned):])
+        code = np.where(block.days != block.total, UNSTABLE, self.path_code[block.path])
+        emptied = block.path[code == UNCLEANABLE]
+        if len(emptied):  # raise the per-path cleaning step's error
+            paths[int(emptied[0])].collapse_prepending().without(
+                self._route_servers.tolist()
+            )
+        reached = code == ACCEPTED
+        code[reached] = self._vp_codes(block.vp[reached])
+        reached = code == ACCEPTED
+        code[reached] = self._prefix_codes(block.prefix[reached])
+        weights = np.bincount(
+            code, weights=block.days, minlength=len(REJECT_CATEGORIES) + 1
+        )
+        report.total += int(block.days.sum())
+        report.accepted += int(weights[ACCEPTED])
+        for index, category in enumerate(REJECT_CATEGORIES, 1):
+            report.rejected[category] += int(weights[index])
+        self._sample(block, code, report)
+        accepted = code == ACCEPTED
+        return block.vp[accepted], block.prefix[accepted], block.path[accepted]
+
+    def records(
+        self, vps: np.ndarray, prefixes: np.ndarray, paths: np.ndarray
+    ) -> list[PathRecord]:
+        """Accepted rows as record objects."""
+        vp_rows = self.vp_rows
+        prefix_rows = self.prefix_rows
+        cleaned = self.cleaned
+        records: list[PathRecord] = []
+        for start in range(0, len(paths), RECORDS_PER_PASS):
+            rows = slice(start, start + RECORDS_PER_PASS)
+            records += [
+                PathRecord(vp, vp_country, prefix, prefix_country, path, addresses)
+                for (vp, vp_country), (prefix, prefix_country, addresses), path
+                in zip(
+                    map(vp_rows.__getitem__, vps[rows].tolist()),  # type: ignore[arg-type]
+                    map(prefix_rows.__getitem__, prefixes[rows].tolist()),  # type: ignore[arg-type]
+                    map(cleaned.__getitem__, paths[rows].tolist()),
+                )
+            ]
+        return records
+
+    def _sample(self, block: RecordBlock, code: np.ndarray, report: FilterReport) -> None:
+        """Keep the first ``sample_limit`` records of each category,
+        categories keyed in first-rejection order."""
+        samples = report.samples
+        firsts: list[tuple[int, str, np.ndarray]] = []
+        for index, category in enumerate(REJECT_CATEGORIES, 1):
+            room = report.sample_limit - len(samples.get(category, ()))
+            if room > 0:
+                rows = np.flatnonzero(code == index)[:room]
+                if len(rows):
+                    firsts.append((int(rows[0]), category, rows))
+        for _, category, rows in sorted(firsts):
+            samples.setdefault(category, []).extend(
+                self.source.record(block, row) for row in rows.tolist()
+            )
+
+    def _vp_codes(self, vps: np.ndarray) -> np.ndarray:
+        """Per-row VP codes, judging VPs met for the first time."""
+        grow = len(self.source.vps) - len(self.vp_code)
+        table = self.vp_code = np.pad(self.vp_code, (0, grow), constant_values=-1)
+        self.vp_rows.extend([None] * (len(table) - len(self.vp_rows)))
+        for vid in np.unique(vps[table[vps] < 0]).tolist():
+            vp = self.source.vps[vid]
+            country = self._collector_country.get(vp.collector, "")
+            if country == "":
+                country = self._collector_country[vp.collector] = (
+                    self._vp_geo.country(vp)
+                )
+            table[vid] = VP_NO_LOCATION if country is None else ACCEPTED
+            self.vp_rows[vid] = (vp, country)
+        return table[vps]
+
+    def _prefix_codes(self, prefixes: np.ndarray) -> np.ndarray:
+        """Per-row prefix codes, judging prefixes met for the first time."""
+        grow = len(self.source.prefixes) - len(self.prefix_code)
+        table = self.prefix_code = np.pad(self.prefix_code, (0, grow), constant_values=-1)
+        self.prefix_rows.extend([None] * (len(table) - len(self.prefix_rows)))
+        geo = self._prefix_geo
+        for fid in np.unique(prefixes[table[prefixes] < 0]).tolist():
+            prefix = self.source.prefixes[fid]
+            if prefix in geo.covered:
+                table[fid], country, addresses = COVERED, None, 0
+            else:
+                country = geo.country(prefix)
+                addresses = 0 if country is None else geo.owned_addresses.get(prefix, 0)
+                table[fid] = PREFIX_NO_LOCATION if country is None else ACCEPTED
+            self.prefix_rows[fid] = (prefix, country, addresses)
+        return table[prefixes]
+
+    # -- per-path verdicts --------------------------------------------------
+
+    def _judge_paths(self, paths: Sequence[ASPath]) -> None:
+        """Extend the per-path tables over ``paths`` (the next raw ids),
+        one numpy pass per ``PATH_CHUNK`` paths."""
+        codes = [self.path_code]
+        for start in range(0, len(paths), PATH_CHUNK):
+            code, cleaned = self._verdicts(paths[start:start + PATH_CHUNK])
+            codes.append(code)
+            self.cleaned.extend(cleaned)
+        self.path_code = np.concatenate(codes)
+
+    def _verdicts(
+        self, paths: Sequence[ASPath]
+    ) -> tuple[np.ndarray, list[ASPath | None]]:
+        """One pass over ``paths``: their codes and cleaned paths."""
+        count = len(paths)
+        lengths = np.fromiter(
+            map(len, map(attrgetter("asns"), paths)), dtype=np.int64, count=count
+        )
+        tokens = np.fromiter(
+            chain.from_iterable(map(attrgetter("asns"), paths)),
+            dtype=np.int64, count=int(lengths.sum()),
+        )
+        owner = np.repeat(np.arange(count), lengths)
+        ordered = np.sort(tokens)
+        asns = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        allocated = self._allocated
+        for asn in asns.tolist():
+            if asn not in allocated:
+                allocated[asn] = bool(self._is_allocated(asn))
+        unlisted = [asn for asn in asns.tolist() if not allocated[asn]]
+        unallocated = np.zeros(count, dtype=bool)
+        unallocated[owner[np.isin(tokens, unlisted)]] = True
+        # prepending collapse: drop a hop repeating its predecessor
+        keep = np.ones(len(tokens), dtype=bool)
+        keep[1:] = (tokens[1:] != tokens[:-1]) | (owner[1:] != owner[:-1])
+        tokens, owner = tokens[keep], owner[keep]
+        # a loop: one (path, ASN) pair twice after the collapse; ASNs
+        # are re-coded densely when (path, ASN) would overflow one int64
+        span = int(asns[-1]) + 1 if len(asns) else 1
+        hops = tokens
+        if count * span >= 1 << 62:
+            hops, span = np.searchsorted(asns, tokens), len(asns)
+        pairs = np.sort(owner * span + hops)
+        looped = np.zeros(count, dtype=bool)
+        looped[pairs[1:][pairs[1:] == pairs[:-1]] // span] = True
+        # poisoning: a non-clique hop between two clique hops of one path
+        top = np.isin(tokens, self._clique)
+        wedged = (
+            (owner[:-2] == owner[1:-1]) & (owner[2:] == owner[1:-1])
+            & top[:-2] & top[2:] & ~top[1:-1]
+        )
+        poisoned = np.zeros(count, dtype=bool)
+        poisoned[owner[1:-1][wedged]] = True
+        code = np.zeros(count, dtype=np.int8)
+        code[poisoned] = POISONED
+        code[looped] = LOOP
+        code[unallocated] = UNALLOCATED
+        # cleaning: the collapsed path without its route-server hops
+        kept = ~np.isin(tokens, self._route_servers)
+        values = tokens[kept]
+        sizes = np.bincount(owner[kept], minlength=count)
+        ends = np.cumsum(sizes)
+        code[(code == ACCEPTED) & (sizes == 0)] = UNCLEANABLE
+        clean = code == ACCEPTED
+        cleaned: list[ASPath | None] = list(paths)
+        for pid in np.flatnonzero(~clean).tolist():
+            cleaned[pid] = None
+        for pid in np.flatnonzero(clean & (sizes != lengths)).tolist():
+            cleaned[pid] = ASPath.trusted(
+                tuple(values[ends[pid] - sizes[pid]:ends[pid]].tolist())
+            )
+        return code, cleaned
+

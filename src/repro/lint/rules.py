@@ -76,8 +76,8 @@ RULES: dict[str, Rule] = {
         Rule(
             "R007",
             "perf-mutation",
-            "mutation of a View/PathSet/Ranking/PathStore parameter "
-            "inside repro.perf",
+            "mutation of a View/PathSet/Ranking/PathStore/RecordBlock "
+            "parameter inside repro.perf",
             "cache correctness: cached products must be exactly what "
             "the naive path would build, so shared inputs are "
             "read-only in the batch engine",

@@ -871,9 +871,10 @@ class SwallowedExceptionChecker(BaseChecker):
 
 # -- R007: mutation of shared inputs in repro.perf ---------------------------
 
-_PROTECTED_TYPES = frozenset(
-    ("View", "PathSet", "Ranking", "PathStore", "MmapPathStore")
-)
+_PROTECTED_TYPES = frozenset((
+    "View", "PathSet", "Ranking", "PathStore", "MmapPathStore",
+    "RecordBlock", "RecordBlocks",
+))
 _MUTATING_METHODS = frozenset((
     "append", "extend", "insert", "add", "update", "clear", "pop",
     "popitem", "remove", "discard", "sort", "reverse", "setdefault",
@@ -888,6 +889,9 @@ class PerfMutationChecker(BaseChecker):
     unions) are shared across cached computations: mutating one poisons
     every cache entry built from it (for a ``PathStore``, its flat
     arrays additionally back every consumer of the same record set).
+    The RIB record columns (``RecordBlock`` / ``RecordBlocks``) are
+    covered too: one block's columns feed the judge and the store
+    builder alike.
     Flags attribute/subscript assignment, ``del``, and mutating method
     calls rooted at such a parameter. Rebinding the bare parameter name
     is fine (a local rebind, not a mutation).

@@ -1,81 +1,63 @@
 """Out-of-core PathStore: append-only spill files + an mmap-backed store.
 
-The in-memory :class:`repro.perf.pathstore.PathStore` assumes the full
-sanitized record list fits in RAM — fine at the catalog's ``small`` /
-``default`` scale, structurally impossible for the ``large`` tier's
-millions of records. This module is the spill half of the out-of-core
-engine:
+The catalog's ``large`` tier has millions of sanitized records, more
+than the in-memory :class:`repro.perf.pathstore.PathStore` should hold.
+This module keeps the same columns on disk instead:
 
-* :class:`SpillWriter` consumes accepted
-  :class:`~repro.core.sanitize.PathRecord` objects one at a time and
-  appends them to flat little-endian-native int64 column files
-  (``tokens`` / ``offsets`` / ``lengths`` for the interned distinct
-  paths, ``record_path`` / ``record_vp`` / ``record_prefix`` /
-  ``record_origin`` per record) plus two small JSONL side tables
-  (``vps.jsonl``, ``prefixes.jsonl``) holding the entities a record id
-  points at. Peak writer memory is the interning dicts plus one bounded
-  flush buffer — never the record set.
-* :class:`MmapPathStore` maps those columns back read-only behind the
-  exact :class:`~repro.perf.pathstore.PathStore` interface (it *is* a
-  ``PathStore`` subclass), so :class:`~repro.perf.cache.SuffixCache`,
-  :class:`~repro.perf.index.PathIndex`, and every ranking consumer work
-  unchanged. Records rematerialize lazily per access; pair/origin
-  buckets are built in one streaming pass over the mapped columns with
-  ``array('q')`` buckets, not per-record Python lists.
-* :func:`sanitize_to_store` drives the Table-1 sanitization stream into
-  a spill directory and returns a :class:`~repro.core.sanitize.PathSet`
-  whose records are the lazy mmap view — the drop-in replacement for
-  :func:`repro.core.sanitize.sanitize` the pipeline uses when
-  ``store_backend="mmap"``.
+* :class:`SpillWriter` is the store's own
+  :class:`~repro.perf.pathstore.ColumnBuilder`, with its buffers
+  flushed to flat native-endian int64 column files (one per
+  ``pathstore.COLUMNS`` entry) plus two JSONL side tables
+  (``vps.jsonl``, ``prefixes.jsonl``); the same builder means the same
+  columns as the in-memory backend, value for value.
+* :class:`MmapPathStore` maps them back read-only behind the exact
+  ``PathStore`` interface (it is a subclass), with lazy records and
+  ``array('q')`` buckets; pickling reduces to the directory path, so
+  workers re-open the maps instead of receiving copied pages.
+* :func:`sanitize_to_store` drives the Table-1 judge block by block
+  into a spill directory — :func:`repro.core.sanitize.sanitize` for
+  ``store_backend="mmap"``, holding one block, never the record set.
 
-Crash safety: every ``flush_every`` accepted records the writer flushes
-its buffers and atomically rewrites ``progress.json`` (consumed input
-records, per-file element counts, the Table-1 report counts). Resuming
-truncates every column file back to the last checkpoint, rebuilds the
-interning dicts from the on-disk data, restores the report counts
-(samples are not preserved across a resume), skips the already-consumed
-input records — the input stream is seed-deterministic and replayable —
-and continues; the sealed result is byte-identical to an uninterrupted
-ingestion. ``manifest.json`` marks a sealed, complete spill.
-
-Determinism: ids are allocated in first-appearance order exactly like
-the in-memory store's interning loop, so ``tokens`` / ``offsets`` /
-``lengths`` / ``record_*`` are value-identical to the arrays
-``PathStore(records)`` would build — the backend-parity tests in
-``tests/perf/test_spill.py`` pin rankings, suffix-cache contents, and
-index buckets across all three backends.
-
-Like the in-memory store, the mapped arrays are derived, read-only
-state (the maps are ``ACCESS_READ``; lint rule R007 covers this class
-too), and the store is never pickled wholesale: it reduces to its
-directory path, so worker processes re-open the maps instead of
-receiving copied pages (R010's broadcast discipline).
+Crash safety: after a block that brings ``flush_every`` or more
+accepted records since the last checkpoint, the writer flushes and
+atomically rewrites ``progress.json``. A resume cuts every file back to
+that checkpoint and replays the consumed input (the stream is
+seed-deterministic) through the judge and the builder without writing
+it, which rebuilds the interning and the Table-1 report; the sealed
+result is byte-identical to an uninterrupted run. ``manifest.json``
+marks a sealed, complete spill.
 """
 
 from __future__ import annotations
 
 import json
-import mmap
 import os
 from array import array as _stdlib_array
-from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.bgp.announcement import RibRecord
 from repro.bgp.collectors import VantagePoint
+from repro.bgp.records import BLOCK_RECORDS, RecordBlocks
 from repro.core.sanitize import (
     REJECT_CATEGORIES,
     FilterReport,
+    Judge,
     PathRecord,
     PathSet,
-    sanitize_stream,
+    observe,
 )
-from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.obs.trace import NULL_TRACER, AnyTracer
-from repro.perf import pathstore as _ps
-from repro.perf.pathstore import PathStore
+from repro.perf.pathstore import (
+    COLUMNS,
+    ColumnBuilder,
+    EntityTables,
+    PathStore,
+    RecordView,
+)
 
 if TYPE_CHECKING:
     from repro.geo.prefix_geo import PrefixGeolocation
@@ -84,14 +66,6 @@ if TYPE_CHECKING:
 
 FORMAT_NAME = "repro-spill"
 FORMAT_VERSION = 1
-
-#: int64 column files, in a fixed order (element counts per file:
-#: tokens → token count; offsets/lengths → distinct paths; record_* →
-#: records).
-_COLUMNS = (
-    "tokens", "offsets", "lengths",
-    "record_path", "record_vp", "record_prefix", "record_origin",
-)
 
 
 class SpillFormatError(ValueError):
@@ -102,34 +76,35 @@ def _column_path(directory: Path, name: str) -> Path:
     return directory / f"{name}.i64"
 
 
-def _map_int64(path: Path):
-    """Map one column file read-only (numpy memmap, or a stdlib mmap
-    exposed as a ``memoryview.cast('q')`` when numpy is unavailable)."""
+def _map_column(path: Path) -> np.ndarray:
+    """One column file as a read-only int64 array."""
     size = path.stat().st_size
     if size % 8:
         raise SpillFormatError(f"{path}: size {size} is not a whole int64 column")
-    np = _ps._np
-    if np is not None:
-        if size == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.memmap(path, dtype=np.int64, mode="r")
     if size == 0:
-        return memoryview(b"").cast("q")
-    with open(path, "rb") as handle:
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    return memoryview(mapped).cast("q")
+        return np.zeros(0, dtype=np.int64)
+    return np.memmap(path, dtype=np.int64, mode="r")
 
 
 def _read_jsonl(path: Path) -> list[dict]:
-    rows: list[dict] = []
     if not path.exists():
-        return rows
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+        return []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines if line.strip()]
+
+
+def _write_jsonl(path: Path, rows: list[dict], mode: str) -> None:
+    with open(path, mode, encoding="utf-8") as handle:
+        handle.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+def _column_counts(counts: dict) -> dict[str, int]:
+    """Element count per column file, from checkpoint/manifest counts."""
+    return {
+        name: counts["tokens"] if name == "tokens" else counts["paths"]
+        if name in ("offsets", "lengths") else counts["records"]
+        for name in COLUMNS
+    }
 
 
 def _report_payload(report: FilterReport) -> dict:
@@ -147,33 +122,28 @@ def _restore_report(report: FilterReport, payload: dict) -> None:
         report.rejected[category] = int(payload["rejected"].get(category, 0))
 
 
-class SpillWriter:
-    """Append-only writer for one spill directory.
+class SpillWriter(ColumnBuilder):
+    """The store's column builder, flushing into one spill directory.
 
-    Feed it accepted records via :meth:`add`; call
-    :meth:`maybe_checkpoint` after each (it flushes and persists
-    progress every ``flush_every`` accepted records) and :meth:`seal`
-    when the input is exhausted. :meth:`prepare` turns a torn directory
-    back into the state of its last checkpoint and reports how many
-    *input* records the caller must skip.
+    Feed it each judged block's accepted rows via :meth:`add`, then call
+    :meth:`maybe_checkpoint` (it flushes and persists progress once
+    ``flush_every`` records have accumulated since the last checkpoint)
+    and :meth:`seal` when the input is exhausted. :meth:`prepare` cuts a
+    torn directory back to its last checkpoint; the caller then replays
+    the input that checkpoint consumed through :meth:`add` and calls
+    :meth:`replayed`, which rebuilds the interning without rewriting.
     """
 
-    def __init__(self, directory: str | Path, flush_every: int = 200_000) -> None:
+    def __init__(
+        self, tables: EntityTables, directory: str | Path, flush_every: int = 200_000
+    ) -> None:
         if flush_every < 1:
             raise ValueError("flush_every must be >= 1")
+        super().__init__(tables)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.flush_every = flush_every
-        self.path_ids: dict[ASPath, int] = {}
-        self._vp_ids: dict[str, int] = {}
-        self._prefix_ids: dict[Prefix, int] = {}
-        self.accepted = 0
-        self.tokens_total = 0
-        self._buffers: dict[str, _stdlib_array] = {
-            name: _stdlib_array("q") for name in _COLUMNS
-        }
-        self._vp_lines: list[str] = []
-        self._prefix_lines: list[str] = []
+        self._checkpointed = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -181,136 +151,53 @@ class SpillWriter:
         """Whether the directory already holds a complete spill."""
         return (self.directory / "manifest.json").exists()
 
-    def prepare(self, report: FilterReport) -> int:
-        """Make the directory consistent and load writer state.
-
-        Returns the number of *input* records already consumed at the
-        last checkpoint (0 for a fresh directory). Partial data past the
-        checkpoint — including a directory that crashed before its first
-        checkpoint — is truncated away; ``report`` is restored to the
-        checkpointed Table-1 counts (samples are not preserved).
-        """
-        if self.sealed():
+    def prepare(self, resume: bool = True) -> dict:
+        """Make the directory consistent: its last checkpoint's counts,
+        with every file cut back to them (``consumed`` is the number of
+        *input* records that checkpoint covered; 0 when starting over,
+        which ``resume=False`` forces)."""
+        if self.sealed() and resume:
             raise SpillFormatError(f"{self.directory}: spill already sealed")
         progress_path = self.directory / "progress.json"
-        if not progress_path.exists():
-            self._reset_files()
-            return 0
+        if not resume or not progress_path.exists():
+            for stem in ("manifest.json", "progress.json"):
+                (self.directory / stem).unlink(missing_ok=True)
+            for name in COLUMNS:
+                _column_path(self.directory, name).write_bytes(b"")
+            for stem in ("vps.jsonl", "prefixes.jsonl"):
+                (self.directory / stem).write_text("", encoding="utf-8")
+            return {"consumed": 0}
         progress = json.loads(progress_path.read_text(encoding="utf-8"))
-        paths = int(progress["paths"])
-        records = int(progress["records"])
-        tokens = int(progress["tokens"])
-        vps = int(progress["vps"])
-        prefixes = int(progress["prefixes"])
-        counts = {
-            "tokens": tokens, "offsets": paths, "lengths": paths,
-            "record_path": records, "record_vp": records,
-            "record_prefix": records, "record_origin": records,
-        }
-        for name in _COLUMNS:
+        for name, count in _column_counts(progress).items():
             path = _column_path(self.directory, name)
-            wanted = counts[name] * 8
-            if not path.exists() or path.stat().st_size < wanted:
-                raise SpillFormatError(
-                    f"{path}: shorter than its last checkpoint"
-                )
-            os.truncate(path, wanted)
-        self._truncate_jsonl(self.directory / "vps.jsonl", vps)
-        self._truncate_jsonl(self.directory / "prefixes.jsonl", prefixes)
-        self._load_interning()
-        if (
-            len(self.path_ids) != paths
-            or len(self._vp_ids) != vps
-            or len(self._prefix_ids) != prefixes
-            or self.tokens_total != tokens
-        ):
+            if not path.exists() or path.stat().st_size < count * 8:
+                raise SpillFormatError(f"{path}: shorter than its last checkpoint")
+            os.truncate(path, count * 8)
+        for stem, keep in (("vps.jsonl", progress["vps"]),
+                           ("prefixes.jsonl", progress["prefixes"])):
+            rows = _read_jsonl(self.directory / stem)[:keep]
+            if len(rows) < keep:
+                raise SpillFormatError(f"{stem}: shorter than its last checkpoint")
+            _write_jsonl(self.directory / stem, rows, "w")
+        return progress
+
+    def replayed(self, progress: dict) -> None:
+        """Drop the rows a replay of the consumed input re-added (the
+        directory holds them already), after checking they rebuilt
+        exactly the checkpoint's counts."""
+        counts = self._counts()
+        if any(counts[key] != progress[key] for key in counts):
             raise SpillFormatError(
-                f"{self.directory}: checkpoint counts do not match on-disk data"
+                f"{self.directory}: the replayed input does not match the checkpoint"
             )
-        self.accepted = records
-        _restore_report(report, progress["report"])
-        return int(progress["consumed"])
+        self._drop()
+        self._checkpointed = self.records
 
-    def _reset_files(self) -> None:
-        for name in _COLUMNS:
-            _column_path(self.directory, name).write_bytes(b"")
-        for stem in ("vps.jsonl", "prefixes.jsonl"):
-            (self.directory / stem).write_text("", encoding="utf-8")
-
-    def _truncate_jsonl(self, path: Path, keep: int) -> None:
-        rows = _read_jsonl(path)[:keep]
-        if len(rows) < keep:
-            raise SpillFormatError(f"{path}: shorter than its last checkpoint")
-        with open(path, "w", encoding="utf-8") as handle:
-            for row in rows:
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
-
-    def _load_interning(self) -> None:
-        """Rebuild the interning dicts from the (truncated) on-disk data."""
-        tokens = _stdlib_array("q")
-        offsets = _stdlib_array("q")
-        lengths = _stdlib_array("q")
-        for column, name in ((tokens, "tokens"), (offsets, "offsets"),
-                             (lengths, "lengths")):
-            data = _column_path(self.directory, name).read_bytes()
-            column.frombytes(data)
-        self.path_ids = {}
-        for pid in range(len(offsets)):
-            offset = offsets[pid]
-            asns = tuple(tokens[offset:offset + lengths[pid]])
-            self.path_ids[ASPath.trusted(asns)] = pid
-        self.tokens_total = len(tokens)
-        self._vp_ids = {
-            row["ip"]: vid
-            for vid, row in enumerate(_read_jsonl(self.directory / "vps.jsonl"))
-        }
-        self._prefix_ids = {
-            Prefix.parse(row["prefix"]): fid
-            for fid, row in enumerate(
-                _read_jsonl(self.directory / "prefixes.jsonl")
-            )
-        }
-
-    # -- ingestion ---------------------------------------------------------
-
-    def add(self, record: PathRecord) -> None:
-        """Append one accepted record (same interning order as
-        ``PathStore(records)``)."""
-        buffers = self._buffers
-        path = record.path
-        pid = self.path_ids.get(path)
-        if pid is None:
-            pid = self.path_ids[path] = len(self.path_ids)
-            asns = path.asns
-            buffers["offsets"].append(self.tokens_total)
-            buffers["lengths"].append(len(asns))
-            buffers["tokens"].extend(asns)
-            self.tokens_total += len(asns)
-        vp = record.vp
-        vid = self._vp_ids.get(vp.ip)
-        if vid is None:
-            vid = self._vp_ids[vp.ip] = len(self._vp_ids)
-            self._vp_lines.append(json.dumps({
-                "ip": vp.ip, "asn": vp.asn, "collector": vp.collector,
-                "country": record.vp_country,
-            }, sort_keys=True))
-        fid = self._prefix_ids.get(record.prefix)
-        if fid is None:
-            fid = self._prefix_ids[record.prefix] = len(self._prefix_ids)
-            self._prefix_lines.append(json.dumps({
-                "prefix": str(record.prefix),
-                "country": record.prefix_country,
-                "addresses": record.addresses,
-            }, sort_keys=True))
-        buffers["record_path"].append(pid)
-        buffers["record_vp"].append(vid)
-        buffers["record_prefix"].append(fid)
-        buffers["record_origin"].append(path.asns[-1])
-        self.accepted += 1
+    # -- checkpoints -------------------------------------------------------
 
     def maybe_checkpoint(self, consumed: int, report: FilterReport) -> bool:
         """Checkpoint when the flush cadence is due; returns whether it did."""
-        if self.accepted % self.flush_every:
+        if self.records - self._checkpointed < self.flush_every:
             return False
         self.checkpoint(consumed, report)
         return True
@@ -318,45 +205,52 @@ class SpillWriter:
     def checkpoint(self, consumed: int, report: FilterReport) -> None:
         """Flush every buffer, then atomically persist progress."""
         self._flush()
-        progress = {
-            "consumed": consumed,
-            "records": self.accepted,
-            "paths": len(self.path_ids),
-            "tokens": self.tokens_total,
-            "vps": len(self._vp_ids),
-            "prefixes": len(self._prefix_ids),
-            "report": _report_payload(report),
-        }
-        self._write_atomic("progress.json", progress)
+        self._checkpointed = self.records
+        self._write_atomic("progress.json", {
+            "consumed": consumed, "report": _report_payload(report),
+            **self._counts(),
+        })
 
     def seal(self, consumed: int, report: FilterReport) -> None:
         """Final checkpoint plus the manifest that marks completion."""
         self.checkpoint(consumed, report)
-        manifest = {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "records": self.accepted,
-            "paths": len(self.path_ids),
-            "tokens": self.tokens_total,
-            "vps": len(self._vp_ids),
-            "prefixes": len(self._prefix_ids),
-            "report": _report_payload(report),
+        self._write_atomic("manifest.json", {
+            "format": FORMAT_NAME, "version": FORMAT_VERSION,
+            "report": _report_payload(report), **self._counts(),
+        })
+
+    def _counts(self) -> dict[str, int]:
+        return {
+            "records": self.records,
+            "paths": self._paths.count,
+            "tokens": self.tokens,
+            "vps": self._vps.count,
+            "prefixes": self._prefixes.count,
         }
-        self._write_atomic("manifest.json", manifest)
 
     def _flush(self) -> None:
-        for name in _COLUMNS:
-            buffer = self._buffers[name]
-            if len(buffer):
-                with open(_column_path(self.directory, name), "ab") as handle:
-                    handle.write(buffer.tobytes())
-                del buffer[:]
-        for stem, lines in (("vps.jsonl", self._vp_lines),
-                            ("prefixes.jsonl", self._prefix_lines)):
-            if lines:
-                with open(self.directory / stem, "a", encoding="utf-8") as handle:
-                    handle.write("\n".join(lines) + "\n")
-                lines.clear()
+        for name, chunks in self.buffers.items():
+            with open(_column_path(self.directory, name), "ab") as handle:
+                for chunk in chunks:
+                    handle.write(chunk.astype(np.int64, copy=False).tobytes())
+        _write_jsonl(self.directory / "vps.jsonl", [
+            {"ip": vp.ip, "asn": vp.asn, "collector": vp.collector,
+             "country": country}
+            for vp, country in self.pending_vps
+        ], "a")
+        _write_jsonl(self.directory / "prefixes.jsonl", [
+            {"prefix": str(prefix), "country": country, "addresses": addresses}
+            for prefix, country, addresses in self.pending_prefixes
+        ], "a")
+        self._drop()
+
+    def _drop(self) -> None:
+        """Forget the buffered rows (they are on disk)."""
+        for chunks in self.buffers.values():
+            chunks.clear()
+        self.pending_paths.clear()
+        self.pending_vps.clear()
+        self.pending_prefixes.clear()
 
     def _write_atomic(self, stem: str, payload: dict) -> None:
         tmp = self.directory / (stem + ".tmp")
@@ -364,82 +258,18 @@ class SpillWriter:
         os.replace(tmp, self.directory / stem)
 
 
-class _LazyRecords(Sequence):
-    """Read-only record sequence rematerialized per access from the
-    mapped columns (entities shared: one VantagePoint / Prefix / ASPath
-    object per distinct id, so equal positions yield equal records)."""
-
-    __slots__ = ("_store",)
-
-    def __init__(self, store: "MmapPathStore") -> None:
-        self._store = store
-
-    def __len__(self) -> int:
-        return self._store.record_count
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        store = self._store
-        count = store.record_count
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError("record position out of range")
-        vp, vp_country = store.vp_table[store.record_vp[index]]
-        prefix, prefix_country, addresses = store.prefix_table[
-            store.record_prefix[index]
-        ]
-        return PathRecord(
-            vp=vp,
-            vp_country=vp_country,
-            prefix=prefix,
-            prefix_country=prefix_country,
-            path=store.paths[store.record_path[index]],
-            addresses=addresses,
-        )
-
-
-class _AddressColumn(Sequence):
-    """Per-record address counts resolved through the prefix side table
-    (IPv6 counts exceed int64, so they never enter a flat column)."""
-
-    __slots__ = ("_store",)
-
-    def __init__(self, store: "MmapPathStore") -> None:
-        self._store = store
-
-    def __len__(self) -> int:
-        return self._store.record_count
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        store = self._store
-        count = store.record_count
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError("record position out of range")
-        return store.prefix_table[store.record_prefix[index]][2]
-
-
 class MmapPathStore(PathStore):
     """A sealed spill directory mapped read-only behind the PathStore
     interface.
 
     The flat columns are the mmap'd files themselves; the distinct-path
-    tuple, the record sequence, and the pair/origin buckets are built
-    lazily on first use (paths and buckets are bounded by distinct
-    entities, never by raw record volume). Pickling reduces to the
-    directory path, so a worker re-opens the maps instead of receiving
-    copied array pages.
+    tuple and the pair/origin buckets are built lazily on first use
+    (bounded by distinct entities, never by raw record volume), and the
+    records are a lazy view. Pickling reduces to the directory path, so
+    a worker re-opens the maps instead of receiving copied array pages.
     """
 
-    __slots__ = (
-        "directory", "manifest", "record_vp", "record_prefix",
-        "_vp_table", "_prefix_table", "_origin_memo",
-    )
+    __slots__ = ("directory", "manifest")
 
     def __init__(self, directory: str | Path) -> None:
         base = Path(directory)
@@ -454,211 +284,60 @@ class MmapPathStore(PathStore):
             raise SpillFormatError(f"{base}: not a {FORMAT_NAME} v{FORMAT_VERSION} spill")
         self.directory = str(base)
         self.manifest = manifest
-        self.tokens = _map_int64(_column_path(base, "tokens"))
-        self.offsets = _map_int64(_column_path(base, "offsets"))
-        self.lengths = _map_int64(_column_path(base, "lengths"))
-        self.record_path = _map_int64(_column_path(base, "record_path"))
-        self.record_vp = _map_int64(_column_path(base, "record_vp"))
-        self.record_prefix = _map_int64(_column_path(base, "record_prefix"))
-        self.record_origin = _map_int64(_column_path(base, "record_origin"))
-        for name, length in (
-            ("tokens", len(self.tokens)), ("offsets", len(self.offsets)),
-            ("record_path", len(self.record_path)),
-            ("record_vp", len(self.record_vp)),
-            ("record_prefix", len(self.record_prefix)),
-            ("record_origin", len(self.record_origin)),
-        ):
-            wanted = manifest["tokens"] if name == "tokens" else (
-                manifest["paths"] if name == "offsets" else manifest["records"]
-            )
-            if length != wanted:
+        columns = {name: _map_column(_column_path(base, name)) for name in COLUMNS}
+        for name, wanted in _column_counts(manifest).items():
+            if len(columns[name]) != wanted:
                 raise SpillFormatError(
-                    f"{base}/{name}.i64: {length} elements, manifest says {wanted}"
+                    f"{base}/{name}.i64: {len(columns[name])} elements, "
+                    f"manifest says {wanted}"
                 )
-        self._token_list = None
-        self._pair_buckets = None
-        self._starts_memo = None
-        self._origin_memo: dict[int, _stdlib_array] | None = None
-        self._vp_table: list[tuple[VantagePoint, str]] | None = None
-        self._prefix_table: list[tuple[Prefix, str, object]] | None = None
+        vp_table = [
+            (VantagePoint(row["ip"], int(row["asn"]), row["collector"]), row["country"])
+            for row in _read_jsonl(base / "vps.jsonl")
+        ]
+        prefix_table = [
+            (Prefix.parse(row["prefix"]), row["country"], row["addresses"])
+            for row in _read_jsonl(base / "prefixes.jsonl")
+        ]
+        super().__init__(
+            columns, None, vp_table, prefix_table, RecordView(self, self._record)
+        )
 
-    def __reduce__(self):
+    def _record(self, at: int) -> PathRecord:
+        """The record at position ``at``, rebuilt from the columns (one
+        VP / prefix / path object per id, so equal rows share them)."""
+        vp, vp_country = self.vp_table[self.record_vp[at]]
+        prefix, prefix_country, addresses = self.prefix_table[self.record_prefix[at]]
+        return PathRecord(
+            vp, vp_country, prefix, prefix_country,
+            self.paths[self.record_path[at]], addresses,
+        )
+
+    def __reduce__(self):  # type: ignore[no-untyped-def]
         # never ship mapped pages through a pickle: workers re-open
         return (type(self), (self.directory,))
 
-    # -- side tables -------------------------------------------------------
-
-    @property
-    def vp_table(self) -> list[tuple[VantagePoint, str]]:
-        """vp id → (VantagePoint, country), from ``vps.jsonl``."""
-        if self._vp_table is None:
-            self._vp_table = [
-                (
-                    VantagePoint(
-                        ip=row["ip"], asn=int(row["asn"]),
-                        collector=row["collector"],
-                    ),
-                    row["country"],
-                )
-                for row in _read_jsonl(Path(self.directory) / "vps.jsonl")
-            ]
-        return self._vp_table
-
-    @property
-    def prefix_table(self) -> list[tuple[Prefix, str, object]]:
-        """prefix id → (Prefix, country, addresses)."""
-        if self._prefix_table is None:
-            self._prefix_table = [
-                (Prefix.parse(row["prefix"]), row["country"], row["addresses"])
-                for row in _read_jsonl(Path(self.directory) / "prefixes.jsonl")
-            ]
-        return self._prefix_table
-
-    # -- lazily rebuilt PathStore surface ----------------------------------
-
-    def __getattr__(self, name: str):
-        # slots declared by PathStore but filled lazily here; __getattr__
-        # only fires while the slot is still unset
-        if name == "paths":
-            token_list = self.token_list()
-            paths = tuple(
-                ASPath.trusted(tuple(
-                    token_list[self.offsets[pid]:
-                               self.offsets[pid] + self.lengths[pid]]
-                ))
-                for pid in range(len(self.offsets))
-            )
-            self.paths = paths
-            return paths
-        if name == "path_ids":
-            ids = {path: pid for pid, path in enumerate(self.paths)}
-            self.path_ids = ids
-            return ids
-        if name == "records":
-            lazy = _LazyRecords(self)
-            self.records = lazy  # type: ignore[assignment]
-            return lazy
-        if name == "record_addresses":
-            column = _AddressColumn(self)
-            self.record_addresses = column  # type: ignore[assignment]
-            return column
-        raise AttributeError(name)
-
-    # -- grouping (streaming passes over the mapped columns) ---------------
-
-    def pair_buckets(self):
-        """Same first-appearance dict as the in-memory store, built from
-        the id columns + side tables in one pass — no record objects."""
-        if self._pair_buckets is None:
-            self._pair_buckets = self._build_pair_buckets()
-        return self._pair_buckets
-
-    def _build_pair_buckets(self):
-        vp_countries = [country for _, country in self.vp_table]
-        prefix_countries = [country for _, country, _ in self.prefix_table]
-        codes: dict[str, int] = {}
-        for code in vp_countries + prefix_countries:
-            codes.setdefault(code, len(codes))
-        np = _ps._np
-        buckets: dict[tuple[str, str], _stdlib_array] = {}
-        if np is not None and len(self.record_path):
-            width = len(codes) or 1
-            vp_code = np.fromiter(
-                (codes[code] for code in vp_countries),
-                dtype=np.int64, count=len(vp_countries),
-            )
-            prefix_code = np.fromiter(
-                (codes[code] for code in prefix_countries),
-                dtype=np.int64, count=len(prefix_countries),
-            )
-            keys = vp_code[self.record_vp] * width + prefix_code[self.record_prefix]
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-            group_starts = np.concatenate(
-                (np.zeros(1, dtype=np.int64), boundaries)
-            )
-            names = list(codes)
-            groups: list[tuple[_stdlib_array, tuple[str, str]]] = []
-            for start, group in zip(
-                group_starts.tolist(), np.split(order, boundaries)
-            ):
-                bucket = _stdlib_array("q")
-                bucket.frombytes(
-                    group.astype(np.int64, copy=False).tobytes()
-                )
-                key = int(sorted_keys[start])
-                groups.append((bucket, (names[key // width], names[key % width])))
-            # stable argsort keeps buckets ascending; re-keying by each
-            # bucket's first position restores first-appearance order
-            groups.sort(key=lambda item: item[0][0])
-            return {pair: bucket for bucket, pair in groups}
-        record_vp = self.record_vp
-        record_prefix = self.record_prefix
-        for position in range(self.record_count):
-            pair = (
-                vp_countries[record_vp[position]],
-                prefix_countries[record_prefix[position]],
-            )
-            bucket = buckets.get(pair)
-            if bucket is None:
-                buckets[pair] = _stdlib_array("q", (position,))
-            else:
-                bucket.append(position)
-        return buckets
-
-    def origin_buckets(self):
-        """Origin → ascending positions, as ``array('q')`` buckets
-        (memoised: unlike the in-memory store, rebuilding is a full
-        column pass)."""
-        if self._origin_memo is not None:
-            return self._origin_memo
-        origins = self.record_origin
-        np = _ps._np
-        buckets: dict[int, _stdlib_array] = {}
-        if np is not None and len(origins):
-            order = np.argsort(origins, kind="stable")
-            sorted_origins = origins[order]
-            boundaries = np.flatnonzero(
-                sorted_origins[1:] != sorted_origins[:-1]
-            ) + 1
-            group_starts = np.concatenate(
-                (np.zeros(1, dtype=np.int64), boundaries)
-            )
-            groups: list[tuple[_stdlib_array, int]] = []
-            for start, group in zip(
-                group_starts.tolist(), np.split(order, boundaries)
-            ):
-                bucket = _stdlib_array("q")
-                bucket.frombytes(group.astype(np.int64, copy=False).tobytes())
-                groups.append((bucket, int(sorted_origins[start])))
-            groups.sort(key=lambda item: item[0][0])
-            buckets = {origin: bucket for bucket, origin in groups}
-        else:
-            for position in range(len(origins)):
-                key = int(origins[position])
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = _stdlib_array("q", (position,))
-                else:
-                    bucket.append(position)
-        self._origin_memo = buckets
-        return buckets
+    def _bucket(self, positions: np.ndarray) -> Sequence[int]:
+        bucket = _stdlib_array("q")
+        bucket.frombytes(positions.astype(np.int64, copy=False).tobytes())
+        return bucket
 
 
-def open_spill(directory: str | Path) -> PathSet:
-    """Re-open a sealed spill as a lazy :class:`PathSet` (report counts
-    come from the manifest; rejection samples are not persisted)."""
+def open_spill(directory: str | Path, report: FilterReport | None = None) -> PathSet:
+    """A sealed spill as a lazy :class:`PathSet`; without ``report``,
+    the counts come from the manifest (rejection samples are not
+    persisted)."""
     store = MmapPathStore(directory)
-    report = FilterReport()
-    _restore_report(report, store.manifest["report"])
+    if report is None:
+        report = FilterReport()
+        _restore_report(report, store.manifest["report"])
     path_set = PathSet(records=store.records, report=report)
     path_set._store = store
     return path_set
 
 
 def sanitize_to_store(
-    records: Iterable[RibRecord],
+    records: "Iterable[RibRecord] | RecordBlocks",
     *,
     clique: frozenset[int],
     is_allocated: Callable[[int], bool],
@@ -672,56 +351,46 @@ def sanitize_to_store(
 ) -> PathSet:
     """:func:`repro.core.sanitize.sanitize`, spilled instead of held.
 
-    Runs the identical Table-1 stream (same span, same counters, same
-    report) but appends each accepted record to ``directory`` and hands
-    back a :class:`PathSet` over the mapped columns, so peak memory is
-    bounded by distinct entities + one flush buffer.
+    Runs the same judge (same span, same counters, same report) block by
+    block and appends each block's accepted rows to ``directory``, then
+    hands back a :class:`PathSet` over the mapped columns, so peak
+    memory is bounded by distinct entities plus one block. The blocks
+    are generated as the judge pulls them, inside the ``sanitize``
+    span. A record stream is interned in blocks of at most
+    ``flush_every`` records, so checkpoints keep their cadence.
 
     ``resume=True`` (default) continues a torn previous ingestion from
     its last checkpoint — the caller must pass the same deterministic
     input stream — and returns the already-sealed result immediately
     when the directory is complete.
     """
+    source = RecordBlocks.of(records, min(flush_every, BLOCK_RECORDS))
     with tracer.span("sanitize") as span:
-        report = FilterReport()
-        writer = SpillWriter(directory, flush_every=flush_every)
+        judge = Judge(source, clique, is_allocated, route_servers, vp_geo, prefix_geo)
+        writer = SpillWriter(judge, directory, flush_every=flush_every)
         if resume and writer.sealed():
             path_set = open_spill(directory)
-            report = path_set.report
         else:
-            consumed = writer.prepare(report) if resume else 0
-            if not resume:
-                writer._reset_files()
-            source = islice(records, consumed, None) if consumed else records
-            pulled = consumed
-
-            def counted() -> Iterator[RibRecord]:
-                nonlocal pulled
-                for record in source:
-                    pulled += 1
-                    yield record
-
-            for accepted in sanitize_stream(
-                counted(), clique, is_allocated, route_servers,
-                vp_geo, prefix_geo, report,
-            ):
-                writer.add(accepted)
-                writer.maybe_checkpoint(pulled, report)
-            writer.seal(pulled, report)
-            store = MmapPathStore(directory)
-            path_set = PathSet(records=store.records, report=report)
-            path_set._store = store
-        span.set(
-            input=report.total, output=report.accepted,
-            records=len(path_set.records),
-        )
-        metrics = tracer.metrics
-        metrics.counter("sanitize.input").inc(report.total)
-        metrics.counter("sanitize.accepted").inc(report.accepted)
-        for category in REJECT_CATEGORIES:
-            metrics.counter(f"sanitize.dropped.{category}").inc(
-                report.rejected[category]
-            )
+            report = FilterReport()
+            progress = writer.prepare(resume)
+            consumed, done = progress["consumed"], 0
+            for block in source:
+                if done < consumed:  # rows the directory already holds
+                    head = block.rows(0, consumed - done)
+                    writer.add(*judge.judge(head, report))
+                    done += len(head)
+                    if done < consumed:
+                        continue
+                    writer.replayed(progress)
+                    block = block.rows(len(head))
+                writer.add(*judge.judge(block, report))
+                done += len(block)
+                writer.maybe_checkpoint(done, report)
+            if done < consumed:
+                raise SpillFormatError(f"{directory}: input ends before its checkpoint")
+            writer.seal(done, report)
+            path_set = open_spill(directory, report)
+        observe(tracer, span, path_set)
     return path_set
 
 

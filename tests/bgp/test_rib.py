@@ -4,6 +4,7 @@ import pytest
 
 from repro.bgp.anomalies import AnomalyConfig
 from repro.bgp.propagation import propagate_all
+from repro.bgp.records import RecordBlocks
 from repro.bgp.rib import RibGenerationConfig, RibSeries, generate_rib_days
 from repro.topology import GeneratorConfig, generate_world, small_profiles
 
@@ -131,3 +132,35 @@ class TestLazyDays:
         first = next(stream)
         assert first.day == 0
         assert list(first) == list(series.announcements(0))
+
+
+class TestRecordBlocks:
+    def rows(self, source):
+        return [
+            source.record(block, row) for block in source for row in range(len(block))
+        ]
+
+    def test_rows_are_the_record_stream(self, world, outcome, monkeypatch):
+        import repro.bgp.rib as rib
+
+        monkeypatch.setattr(rib, "BLOCK_RECORDS", 100)  # many blocks
+        noisy = RibGenerationConfig(anomalies=AnomalyConfig(
+            loop_rate=0.05, poison_rate=0.05, unallocated_rate=0.05,
+            prepend_rate=0.05, route_server_rate=0.05,
+        ))
+        series = generate_rib_days(world, outcome, noisy, seed=3)
+        assert series.overrides
+        source = series.record_blocks()
+        blocks = list(source)
+        assert len(blocks) > 1
+        # whole VP rows: no VP continues from one block into the next
+        for before, after in zip(blocks, blocks[1:]):
+            assert before.vp[-1] < after.vp[0]
+        replay = RecordBlocks(source.vps, source.prefixes, source.paths, blocks)
+        assert self.rows(replay) == list(series.records())
+
+    def test_family_filter(self, world, outcome):
+        series = generate_rib_days(world, outcome, seed=3)
+        v4 = [r for r in series.records() if r.prefix.version == 4]
+        assert self.rows(series.record_blocks(4)) == v4
+        assert self.rows(series.record_blocks(6)) == []

@@ -189,3 +189,37 @@ class TestPathSet:
         assert result.countries() == ["US"]
         totals = result.country_addresses()
         assert totals["US"] == (1 << 16) + (1 << 15)  # the /16 plus the /17
+
+
+class TestTable1Pins:
+    """Table 1 on the default world (seed 42, IPv4): the counts the
+    per-record filter produced, for both store backends."""
+
+    PINNED = {
+        "unstable": 82_822,
+        "unallocated": 1_325,
+        "loop": 1_255,
+        "poisoned": 610,
+        "vp_no_location": 59_655,
+        "covered": 32_420,
+        "prefix_no_location": 14_840,
+    }
+
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
+    def test_default_world(self, backend):
+        from repro.core.pipeline import PipelineConfig, run_pipeline
+        from repro.topology.catalog import build_world
+
+        result = run_pipeline(
+            build_world("default", 42),
+            PipelineConfig(seed=42, family=4, store_backend=backend),
+        )
+        try:
+            report = result.paths.report
+            assert report.total == 1_512_542
+            assert report.accepted == 1_319_615
+            assert report.rejected == self.PINNED
+            assert len(result.paths.records) == 263_923
+            assert len(result.paths.store()) == 216_351
+        finally:
+            result.close()

@@ -219,3 +219,11 @@ class TestMmapStoreProtected:
         )
         flagged = lint_source(source, "x.py", module="repro.perf.spill")
         assert [f.rule_id for f in flagged] == ["R007"]
+
+    def test_r007_covers_the_record_blocks(self):
+        source = (
+            "class RecordBlock:\n    pass\n\n"
+            "def f(block: RecordBlock):\n    block.path[0] = 1\n"
+        )
+        flagged = lint_source(source, "x.py", module="repro.perf.spill")
+        assert [f.rule_id for f in flagged] == ["R007"]

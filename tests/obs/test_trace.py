@@ -158,3 +158,25 @@ class TestMemoryCapture:
         with tracer.span("x"):
             pass
         assert by_name(tracer, "x").mem_peak is None
+
+
+class TestPipelineStages:
+    def test_record_generation_is_its_own_stage(self):
+        """Draining the RIB records is charged to ``ribs.records``, a
+        sibling of ``sanitize`` that the sanitize span does not cover."""
+        from repro.core.pipeline import PipelineConfig, run_pipeline
+        from repro.topology.catalog import build_world
+
+        tracer = Tracer()
+        run_pipeline(build_world("small", 0), PipelineConfig(), tracer)
+        (records,) = tracer.find("ribs.records")
+        (sanitize,) = tracer.find("sanitize")
+        assert records.parent_id == sanitize.parent_id is not None
+        assert records.attrs["records"] > 0
+        assert records.start_s + records.dur_s <= sanitize.start_s
+        by_id = {span.span_id: span for span in tracer.spans}
+        for span in tracer.find("ribs.records"):
+            parent = span.parent_id
+            while parent is not None:
+                assert by_id[parent].name != "sanitize"
+                parent = by_id[parent].parent_id

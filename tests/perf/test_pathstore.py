@@ -1,7 +1,7 @@
 """The SoA path store must be invisible: every product it feeds —
 primed suffix tables, origin buckets — must be value-identical to what
-the record-walking code builds, on both the numpy and the stdlib-array
-backends."""
+the record-walking code builds, whether the sanitizer built the store
+or it was interned from record objects."""
 
 import pytest
 
@@ -11,11 +11,13 @@ from repro import (
     run_pipeline,
     small_profiles,
 )
+from repro.bgp.collectors import VantagePoint
+from repro.core.sanitize import PathRecord
 from repro.net.aspath import ASPath
+from repro.net.prefix import Prefix
 from repro.perf.cache import SuffixCache
 from repro.perf.index import PathIndex
 from repro.perf.pathstore import PathStore
-import repro.perf.pathstore as pathstore_mod
 
 SMALL = GeneratorConfig(
     profiles=small_profiles(), clique_homes=("US", "US", "SE", "JP")
@@ -32,14 +34,22 @@ def store(result):
     return result.paths.store()
 
 
-@pytest.fixture(params=["numpy", "fallback"])
-def backend(request, monkeypatch):
-    """Run a test under both array backends (skip numpy if absent)."""
-    if request.param == "fallback":
-        monkeypatch.setattr(pathstore_mod, "_np", None)
-    elif not pathstore_mod.HAVE_NUMPY:
-        pytest.skip("numpy not installed")
+@pytest.fixture(params=["numpy"])
+def backend(request):
+    """The store's array backend (numpy, a hard dependency)."""
     return request.param
+
+
+def record(path, addresses=1):
+    """A sanitized record carrying ``path`` (one VP, one prefix)."""
+    return PathRecord(
+        vp=VantagePoint("192.0.2.1", path.asns[0], "rrc00"),
+        vp_country="US",
+        prefix=Prefix.parse("10.0.0.0/8"),
+        prefix_country="US",
+        path=path,
+        addresses=addresses,
+    )
 
 
 class TestLayout:
@@ -60,13 +70,8 @@ class TestLayout:
             assert store.record_addresses[position] == record.addresses
 
     def test_addresses_survive_beyond_int64(self):
-        class Rec:
-            def __init__(self, path, addresses):
-                self.path = path
-                self.addresses = addresses
-
         huge = 2 ** 96  # an IPv6 /32's address count
-        built = PathStore([Rec(ASPath.trusted((1, 2)), huge)])
+        built = PathStore.from_records([record(ASPath.trusted((1, 2)), huge)])
         assert built.record_addresses[0] == huge
 
     def test_shared_via_pathset(self, result):
@@ -75,7 +80,7 @@ class TestLayout:
 
 class TestSuffixStarts:
     def test_matches_suffix_cache_compute(self, result, backend):
-        built = PathStore(result.paths.records)
+        built = PathStore.from_records(result.paths.records)
         cache = SuffixCache(result.oracle)
         assert cache._p2c is not None
         starts = built.suffix_starts(cache._p2c)
@@ -84,31 +89,26 @@ class TestSuffixStarts:
             assert tuple(path.asns[starts[pid]:]) == expected
 
     def test_edge_cases(self, backend):
-        class Rec:
-            def __init__(self, path):
-                self.path = path
-                self.addresses = 1
-
         paths = [
             ASPath.trusted((5,)),           # single hop: suffix is itself
             ASPath.trusted((1, 2, 3)),      # full p2c chain: start 0
             ASPath.trusted((9, 1, 2)),      # tail-only chain
             ASPath.trusted((2, 1, 9)),      # no p2c tail: origin only
         ]
-        built = PathStore([Rec(p) for p in paths])
+        built = PathStore.from_records([record(p) for p in paths])
         p2c = frozenset({(1, 2), (2, 3)})
         assert built.suffix_starts(p2c) == [0, 0, 1, 2]
         assert built.suffix_starts(frozenset()) == [0, 2, 2, 2]
 
     def test_empty_store(self, backend):
-        built = PathStore([])
+        built = PathStore.from_records([])
         assert built.suffix_starts(frozenset({(1, 2)})) == []
         assert built.origin_buckets() == {}
 
 
 class TestPrimedCache:
     def test_prime_matches_lazy_warm(self, result, backend):
-        built = PathStore(result.paths.records)
+        built = PathStore.from_records(result.paths.records)
         primed = SuffixCache(result.oracle)
         installed = built.prime_suffix_cache(primed)
         assert installed == len(built)
@@ -148,7 +148,7 @@ class TestPrimedCache:
 class TestOriginBuckets:
     def test_matches_naive_scan(self, result, backend):
         records = result.paths.records
-        built = PathStore(records)
+        built = PathStore.from_records(records)
         naive = {}
         for position, record in enumerate(records):
             naive.setdefault(record.path.origin, []).append(position)

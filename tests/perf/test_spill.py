@@ -1,7 +1,7 @@
 """The mmap-backed spill store must be invisible: rankings, suffix
 caches, and index buckets computed over it must be value-identical to
-the in-memory backends (numpy and stdlib-array), and a crash mid-
-ingestion must resume to a byte-identical spill."""
+the in-memory backend, and a crash mid-ingestion must resume to a
+byte-identical spill."""
 
 import pickle
 
@@ -19,7 +19,6 @@ from repro.perf.spill import (
     open_spill,
     sanitize_to_store,
 )
-import repro.perf.pathstore as pathstore_mod
 from repro.topology.catalog import build_world
 
 #: a cross-family spot-check sweep — four metric families, the four
@@ -137,22 +136,6 @@ class TestBackendParity:
         assert mapped.path_ids == dense.path_ids
 
 
-class TestFallbackParity:
-    def test_rankings_identical_without_numpy(self, world, memory_result,
-                                              monkeypatch):
-        monkeypatch.setattr(pathstore_mod, "_np", None)
-        result = run_pipeline(
-            world, PipelineConfig(seed=0, store_backend="mmap")
-        )
-        try:
-            baseline = memory_result.rank_all(METRICS, COUNTRIES)
-            spilled = result.rank_all(METRICS, COUNTRIES)
-            for key, ranking in baseline.items():
-                assert spilled[key].entries == ranking.entries, key
-        finally:
-            result.close()
-
-
 class TestCrashResume:
     @pytest.fixture(scope="class")
     def inputs(self):
@@ -197,6 +180,31 @@ class TestCrashResume:
         assert resumed.report.accepted == clean.report.accepted
         assert resumed.report.rejected == clean.report.rejected
         assert list(resumed.records[:50]) == list(clean.records[:50])
+
+    def test_resume_with_other_blocks_replays_across_them(self, inputs, tmp_path):
+        """A resume whose blocks straddle the checkpoint (another
+        ``flush_every``) still seals the same bytes, and the replayed
+        prefix restores the rejection samples too."""
+        records, kwargs = inputs
+        clean = self._ingest(records, kwargs, tmp_path / "clean")
+
+        def torn_stream():
+            for index, record in enumerate(records):
+                if index == len(records) // 2:
+                    raise OSError("injected crash")
+                yield record
+
+        with pytest.raises(OSError):
+            self._ingest(torn_stream(), kwargs, tmp_path / "torn")
+        resumed = sanitize_to_store(
+            iter(records), directory=str(tmp_path / "torn"),
+            flush_every=300, **kwargs,
+        )
+        assert (
+            self._spill_bytes(tmp_path / "torn")
+            == self._spill_bytes(tmp_path / "clean")
+        )
+        assert resumed.report.samples == clean.report.samples
 
     def test_reopen_sealed_spill(self, inputs, tmp_path):
         records, kwargs = inputs

@@ -133,6 +133,22 @@ class TestSweep:
         assert "unknown country" in capsys.readouterr().err
 
 
+class TestSpillCleanup:
+    """A run-scoped ``--store mmap`` spill must not outlive the command."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--countries", "AU", "-k", "2"],
+        ["trace"],
+    ])
+    def test_no_temp_spill_left_behind(self, capsys, tmp_path, monkeypatch, argv):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["--world", "small", "--store", "mmap", *argv]) == 0
+        capsys.readouterr()
+        assert not list(tmp_path.glob("repro-spill-*"))
+
+
 class TestSweepCheckpoint:
     ARGS = [
         "--world", "small", "sweep",
