@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: test lint lint-wp lint-sarif faults bench bench-smoke bench-serve bench-large bench-large-smoke watch-smoke serve-smoke profile
 
 ## Default verification: static analysis first (per-file and
-## whole-program tiers, then the R009-R012 self-check and the SARIF
+## whole-program tiers, then the R011-R012 self-check and the SARIF
 ## artifact), then the test suite (which includes the fault-injection
 ## suite), then the fault suite once more on its own so a recovery
 ## regression is named explicitly, then the watch smoke (monitoring
@@ -19,15 +19,15 @@ test: lint lint-wp lint-sarif
 	$(MAKE) serve-smoke
 	$(MAKE) bench-large-smoke
 
-## Fault-injection suite: deterministic worker kills, hung chunks,
-## mid-sweep crashes, and corrupted dump lines, each required to
-## recover to byte-identical output (DESIGN.md section 6).
+## Fault-injection suite: deterministic mid-sweep crashes and
+## corrupted dump lines, each required to recover to byte-identical
+## output (DESIGN.md section 6).
 faults:
 	$(PYTHON) -m pytest tests/resilience -q
 
 ## Static analysis gate: the repro-lint invariant checker over the
 ## whole source + test tree (per-file rules R001-R008 plus the
-## whole-program tier R009-R012, findings vs the checked-in
+## whole-program tier R011-R012, findings vs the checked-in
 ## lint-baseline.json, runtime guard of 5s so it stays cheap enough to
 ## run always), then mypy when available (lenient globally, strict for
 ## repro.perf and repro.core -- see [tool.mypy] in pyproject.toml).
@@ -39,13 +39,13 @@ lint:
 		echo "mypy not installed -- type check skipped"; \
 	fi
 
-## Whole-program self-check: just the call-graph rules (R009 fork
-## safety, R010 broadcast discipline, R011 memo coherence, R012 spec
-## purity) over the library source, with no baseline — asserts the
-## tree carries zero unbaselined whole-program findings.
+## Whole-program self-check: just the call-graph rules (R011 memo
+## coherence, R012 spec purity) over the library source, with no
+## baseline — asserts the tree carries zero unbaselined whole-program
+## findings.
 lint-wp:
 	$(PYTHON) -m repro.lint src/repro --no-baseline \
-		--select R009,R010,R011,R012 --stats --max-seconds 5
+		--select R011,R012 --stats --max-seconds 5
 
 ## SARIF artifact for CI annotation tooling: the full rule set over
 ## src + tests as a SARIF 2.1.0 log at benchmarks/output/lint.sarif.
@@ -57,12 +57,9 @@ lint-sarif:
 
 ## Full scaling benchmark (small + medium worlds); writes
 ## BENCH_pipeline.json at the repo root and fails below the 3x
-## indexed-vs-naive floor on the medium world. The parallel floor is
-## enforced on hosts with >= 2 usable CPUs and recorded as an explicit
-## `parallel_gate: skipped / insufficient_cpus` entry otherwise.
+## indexed-vs-naive floor on the medium world.
 bench:
-	$(PYTHON) benchmarks/bench_pipeline_scaling.py --min-speedup 2.5 \
-		--parallel-floor 1.0
+	$(PYTHON) benchmarks/bench_pipeline_scaling.py --min-speedup 2.5
 
 ## Serving benchmark (medium world): cold-vs-warm /rank latency, QPS,
 ## and the store hit rate through a real daemon on an ephemeral port;
@@ -88,10 +85,8 @@ bench-large-smoke:
 	$(PYTHON) benchmarks/bench_large_tier.py --smoke \
 		--output benchmarks/output/BENCH_large_smoke.json
 
-## Quick perf gate: small world under a time ceiling, plus the
-## parallel >= serial floor at workers=2 (auto-skipped on hosts with
-## fewer than 2 usable CPUs — see benchmarks/smoke.sh); writes
-## benchmarks/output/BENCH_smoke.json.
+## Quick perf gate: small world under a time ceiling (see
+## benchmarks/smoke.sh); writes benchmarks/output/BENCH_smoke.json.
 bench-smoke:
 	sh benchmarks/smoke.sh
 

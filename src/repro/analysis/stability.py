@@ -71,7 +71,7 @@ def metric_ranking(
     metric: str, view: View, oracle, trim: float = 0.1
 ) -> Ranking:
     """One CC*/AH* ranking over an arbitrary (possibly downsampled)
-    view — the per-trial work unit, also run inside fan-out workers.
+    view — the per-trial work unit.
 
     Dispatch comes from the metric registry: cone-family specs rank by
     customer cone, hegemony-family specs by AS hegemony (honouring a
@@ -102,7 +102,6 @@ def stability_curve(
     trials: int = 10,
     seed: int = 0,
     k: int = 10,
-    workers: int | None = None,
     checkpoint: "Checkpoint | None" = None,
 ) -> StabilityCurve:
     """Downsample a view's VPs and score each sample against the full
@@ -110,27 +109,18 @@ def stability_curve(
 
     Trial views are :class:`repro.perf.ViewSlicer` index slices — the
     view's records are bucketed by VP once, then each trial merges the
-    sampled VPs' buckets instead of re-filtering the whole view.
-
-    ``workers`` (default: the pipeline config's ``workers``) fans the
-    NDCG trials out across a process pool. Every VP sample is drawn
-    up front from a single serial RNG stream, so the curve is identical
-    for any worker count; ``workers=1`` computes the trials inline.
-    The config's retry policy and fault plan apply to the fan-out.
+    sampled VPs' buckets instead of re-filtering the whole view. Every
+    VP sample is drawn up front from a single RNG stream seeded by
+    ``seed``.
 
     ``checkpoint`` persists each trial's NDCG score as it completes;
     a resumed run recomputes only the missing trials and yields the
     identical curve (scores are serialized value-exactly).
     """
     from repro.perf.index import ViewSlicer
-    from repro.perf.parallel import stability_trials
 
     if trials < 1:
         raise ValueError("need at least one trial per size")
-    if workers is None:
-        workers = result.config.workers
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     slicer = ViewSlicer(view)
     vps = [vp.ip for vp in view.vps()]
     total = len(vps)
@@ -149,20 +139,9 @@ def stability_curve(
             if isinstance(banked, float):
                 done[index] = banked
     todo = [index for index in range(len(samples)) if index not in done]
-    todo_samples = [samples[index] for index in todo]
-    if workers > 1 and todo_samples:
-        fresh = stability_trials(
-            metric, view, result.oracle, result.config.trim,
-            full, k, todo_samples, workers,
-            tracer=result._tracer, policy=result.config.retry,
-            faults=result.config.faults, pool=result._pool,
-        )
-    else:
-        fresh = [
-            ndcg(full, _metric_ranking(result, metric, slicer.restrict(s)), k)
-            for s in todo_samples
-        ]
-    for index, score in zip(todo, fresh):
+    for index in todo:
+        restricted = slicer.restrict(samples[index])
+        score = ndcg(full, _metric_ranking(result, metric, restricted), k)
         done[index] = score
         if checkpoint is not None:
             checkpoint.put(f"trial:{index}", score)
@@ -196,11 +175,10 @@ def national_stability(
     sizes: list[int] | None = None,
     trials: int = 10,
     seed: int = 0,
-    workers: int | None = None,
 ) -> StabilityCurve:
     """Figure 4: stability of a country's national ranking (AHN/CCN)."""
     view = result.view("national", country)
-    return stability_curve(result, metric, view, sizes, trials, seed, workers=workers)
+    return stability_curve(result, metric, view, sizes, trials, seed)
 
 
 def international_stability(
@@ -210,8 +188,7 @@ def international_stability(
     sizes: list[int] | None = None,
     trials: int = 10,
     seed: int = 0,
-    workers: int | None = None,
 ) -> StabilityCurve:
     """Figure 5: stability of a country's international ranking (AHI/CCI)."""
     view = result.view("international", country)
-    return stability_curve(result, metric, view, sizes, trials, seed, workers=workers)
+    return stability_curve(result, metric, view, sizes, trials, seed)

@@ -27,17 +27,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.bgp.policy import Route, RouteClass
 from repro.obs.metrics import NULL_HISTOGRAM
 from repro.obs.trace import NULL_TRACER
 from repro.topology.model import ASGraph
-
-if TYPE_CHECKING:  # the fan-out wrapper is imported lazily at runtime
-    from repro.perf.pool import WorkerPool
-    from repro.resilience.faults import FaultPlan
-    from repro.resilience.retry import RetryPolicy
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,10 +114,9 @@ def _adjacency_of(graph: ASGraph) -> _Adjacency:
     """The adjacency snapshot for ``graph``, cached per structural
     version.
 
-    Sharing one snapshot object across calls is what lets the worker
-    pool broadcast it once for all salt planes (the broadcast registry
-    memoizes by identity) and what makes the incremental delta check
-    between unchanged snapshots trivial.
+    Sharing one snapshot object across calls lets every salt plane
+    reuse it and makes the incremental delta check between unchanged
+    snapshots trivial.
     """
     cached = _adjacency_cache.get(graph)
     version = graph.version
@@ -226,13 +220,9 @@ def propagate_all(
     tiebreak: str = "asn",
     salt: int = 0,
     tracer=NULL_TRACER,
-    workers: int = 1,
-    policy: "RetryPolicy | None" = None,
-    faults: "FaultPlan | None" = None,
     basis: "PropagationBasis | None" = None,
     capture_basis: bool = False,
     delta_threshold: float = 0.5,
-    pool: "WorkerPool | None" = None,
 ) -> RoutingOutcome:
     """Propagate every origin and keep routes only at ``keep`` ASes.
 
@@ -240,18 +230,6 @@ def propagate_all(
     prefix; ``keep`` defaults to all ASes (memory scales with
     ``len(origins) * len(keep)``, so pass the VP ASes when you only
     need collector views).
-
-    ``workers > 1`` chunks the origin sweep across a process pool with
-    a deterministic by-origin merge — the outcome is identical for any
-    worker count, and ``workers=1`` never leaves this process (the
-    byte-identical serial path). Per-level frontier telemetry is only
-    sampled on the serial path; the aggregate span counts are recorded
-    either way.
-
-    ``policy`` (retry/timeout bounds) and ``faults`` (an injection
-    plan) shape the fan-out's failure behavior, never its output: a
-    killed or hung chunk is replayed until the merged result matches
-    the fault-free run (see :mod:`repro.resilience`).
 
     ``tracer`` wraps the sweep in a ``propagate.plane`` span, counts
     origins and kept routes, and samples per-level BFS frontier sizes
@@ -265,17 +243,8 @@ def propagate_all(
     dirty the basis is abandoned and the sweep runs in full.
     ``capture_basis=True`` stores a fresh basis on the returned
     outcome (``outcome.basis``) for the next snapshot.
-
-    ``pool`` lends a persistent :class:`repro.perf.pool.WorkerPool` to
-    the fan-out (the adjacency is broadcast to it once and reused
-    across planes); without one, the fan-out runs on a transient pool
-    scoped to this call.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    with tracer.span(
-        "propagate.plane", tiebreak=tiebreak, salt=salt, workers=workers,
-    ) as span:
+    with tracer.span("propagate.plane", tiebreak=tiebreak, salt=salt) as span:
         adjacency = _adjacency_of(graph)
         if origins is None:
             origins = [asn for asn in graph.asns() if graph.node(asn).prefixes]
@@ -314,32 +283,22 @@ def propagate_all(
                     for origin in origin_list if origin not in dirty_set
                 }
 
-        kept_routes = 0
         computed: dict[int, dict[int, Route]] = {}
         holders: dict[int, frozenset[int]] = {}
-        if workers > 1 and len(dirty_origins) > 1:
-            from repro.perf.parallel import propagate_origins
-
-            computed, holders = propagate_origins(
-                adjacency, dirty_origins, tiebreak, salt, keep_set, workers,
-                tracer=tracer, policy=policy, faults=faults,
-                relevant=relevant, capture_holders=capture_basis, pool=pool,
+        frontier_hist = tracer.metrics.histogram("propagate.frontier")
+        for origin in dirty_origins:
+            routes = _propagate(
+                adjacency, origin, tiebreak, salt, frontier_hist,
+                relevant=relevant,
             )
-        else:
-            frontier_hist = tracer.metrics.histogram("propagate.frontier")
-            for origin in dirty_origins:
-                routes = _propagate(
-                    adjacency, origin, tiebreak, salt, frontier_hist,
-                    relevant=relevant,
-                )
-                if capture_basis:
-                    holders[origin] = frozenset(routes)
-                if keep_set is not None:
-                    routes = {
-                        asn: route for asn, route in routes.items()
-                        if asn in keep_set
-                    }
-                computed[origin] = routes
+            if capture_basis:
+                holders[origin] = frozenset(routes)
+            if keep_set is not None:
+                routes = {
+                    asn: route for asn, route in routes.items()
+                    if asn in keep_set
+                }
+            computed[origin] = routes
 
         all_routes: dict[int, Mapping[int, Route]] = {}
         for origin in origin_list:

@@ -38,10 +38,8 @@ from repro.topology.world import World
 if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
     from repro.perf.cache import SuffixCache, ViewComputation
     from repro.perf.index import PathIndex
-    from repro.perf.pool import WorkerPool
     from repro.resilience.checkpoint import Checkpoint
     from repro.resilience.faults import FaultPlan
-    from repro.resilience.retry import RetryPolicy
 
 #: Metrics the pipeline can compute, derived from the registry
 #: (:mod:`repro.core.registry` is the single source of truth — adding a
@@ -78,20 +76,11 @@ class PipelineConfig:
     #: (and IHR) treat IPv4 and IPv6 as separate ranking universes
     family: int = 4
     seed: int = 0
-    #: process fan-out for the heavy loops (propagation origins, NDCG
-    #: stability trials). 1 = fully serial, byte-identical to the
-    #: pre-fan-out pipeline; N > 1 chunks work across a process pool
-    #: with a deterministic merge, so results never depend on N.
-    workers: int = 1
     #: collect per-stage telemetry (spans + metrics) into
     #: ``PipelineResult.trace``; ``"memory"`` additionally captures
     #: tracemalloc peaks per stage. ``False`` keeps the no-op tracer on
     #: every hook (near-zero overhead).
     trace: bool | str = False
-    #: retry/timeout bounds for the process fan-out (None = the
-    #: resilience layer's defaults: 3 attempts, no timeout, serial
-    #: fallback on) — shapes failure behavior, never output values
-    retry: "RetryPolicy | None" = None
     #: deterministic fault-injection plan (tests and ``make faults``
     #: exercise failure paths with it; None injects nothing)
     faults: "FaultPlan | None" = None
@@ -115,8 +104,6 @@ class PipelineConfig:
             raise ValueError("family must be 4 or 6")
         if self.trace not in (False, True, "memory"):
             raise ValueError("trace must be False, True, or 'memory'")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         # the dense and sparse trimmed-mean paths must reject the same
         # inputs (dense used to clamp trim >= 0.5 while sparse raised)
         if not 0.0 <= self.trim < 0.5:
@@ -145,7 +132,6 @@ class PipelineResult:
         inferred: InferredRelationships | None,
         tracer: AnyTracer = NULL_TRACER,
         outcomes: "list[RoutingOutcome] | None" = None,
-        pool: "WorkerPool | None" = None,
         spill_tmp: str | None = None,
     ) -> None:
         self.world = world
@@ -153,9 +139,6 @@ class PipelineResult:
         self.outcome = outcome
         #: all routing planes (``outcome`` is ``outcomes[0]``)
         self.outcomes = outcomes if outcomes is not None else [outcome]
-        #: the persistent worker pool the run's fan-outs shared (None
-        #: when the run was serial); stability sweeps reuse it
-        self._pool = pool
         #: run-owned temp spill directory (mmap backend with no
         #: explicit ``spill_dir``); removed by :meth:`close`
         self._spill_tmp = spill_tmp
@@ -193,14 +176,11 @@ class PipelineResult:
         return [outcome.basis for outcome in self.outcomes]
 
     def close(self) -> None:
-        """Release the run's worker pool and any run-owned spill temp
-        directory (idempotent; the result's cached views and rankings
-        stay usable — on POSIX even the already-mapped spill columns
-        stay readable until the process exits, but nothing new can be
-        opened from the removed directory)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Remove the run-owned spill temp directory, if any
+        (idempotent; the result's cached views and rankings stay usable
+        — on POSIX even the already-mapped spill columns stay readable
+        until the process exits, but nothing new can be opened from the
+        removed directory)."""
         if self._spill_tmp is not None:
             import shutil
 
@@ -465,11 +445,6 @@ class Pipeline:
         region changed re-run, with byte-identical output.
         ``capture_bases`` records fresh bases on this run's outcomes
         for the *next* snapshot.
-
-        When ``config.workers > 1`` the run creates one persistent
-        :class:`repro.perf.pool.WorkerPool` that every fan-out shares —
-        all propagation planes and, later, the result's stability
-        sweeps. Call :meth:`PipelineResult.close` to release it.
         """
         config = self.config
         if tracer is None:
@@ -477,11 +452,6 @@ class Pipeline:
                 Tracer(capture_memory=config.trace == "memory")
                 if config.trace else NULL_TRACER
             )
-        pool: "WorkerPool | None" = None
-        if config.workers > 1:
-            from repro.perf.pool import WorkerPool
-
-            pool = WorkerPool(config.workers)
         with tracer.span(
             "pipeline", world=world.name, seed=config.seed, family=config.family,
         ):
@@ -490,15 +460,12 @@ class Pipeline:
                     propagate_all(
                         world.graph, keep=world.vp_asns(),
                         tiebreak=config.tiebreak, salt=salt, tracer=tracer,
-                        workers=config.workers, policy=config.retry,
-                        faults=config.faults,
                         basis=(
                             propagation_bases[salt]
                             if propagation_bases is not None
                             and salt < len(propagation_bases) else None
                         ),
                         capture_basis=capture_bases,
-                        pool=pool,
                     )
                     for salt in range(config.path_diversity)
                 ]
@@ -559,7 +526,7 @@ class Pipeline:
                 oracle = inferred
         return PipelineResult(
             world, config, outcome, ribs, geodb, prefix_geo, vp_geo, paths,
-            oracle, inferred, tracer, outcomes=outcomes, pool=pool,
+            oracle, inferred, tracer, outcomes=outcomes,
             spill_tmp=spill_tmp,
         )
 

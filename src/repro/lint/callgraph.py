@@ -1,18 +1,17 @@
 """Whole-program symbol table, conservative call graph, reachability.
 
 The per-file rules (R001–R008) see one module at a time, which is
-exactly the blind spot the parallel/caching work opened up: the
-fork-inherited broadcast registry lives in :mod:`repro.perf.pool`, the
-worker chunk functions in :mod:`repro.perf.parallel`, and the code they
-ultimately execute anywhere in ``repro.*``. The whole-program tier
-(rules R009–R012 in :mod:`repro.lint.wprules`) asks questions no single
-AST can answer — *can this function execute inside a worker process?*,
-*can this metric compute callable reach an RNG?* — so it needs a
-program-wide view:
+exactly the blind spot the caching work opened up: a version-memoised
+product and the methods that mutate its inputs, or a metric compute
+callable and the helpers it reaches, live anywhere in ``repro.*``. The
+whole-program tier (rules R011–R012 in :mod:`repro.lint.wprules`) asks
+questions no single AST can answer — *does every mutation bump the
+memo's version?*, *can this metric compute callable reach an RNG?* —
+so it needs a program-wide view:
 
 * a **symbol table** over every module handed to :class:`Program` —
-  functions, methods (with their classes and bases), module-level
-  names, and import aliases;
+  functions, methods (with their classes and bases), and import
+  aliases;
 * a **conservative call graph**: one node per function/method, edges
   resolved syntactically. Direct calls, from-imports, module-alias
   attributes, ``self.method()`` through the class and its bases, and
@@ -80,10 +79,6 @@ class FunctionInfo:
     def is_method(self) -> bool:
         return self.cls is not None
 
-    @property
-    def is_nested(self) -> bool:
-        return self.parent is not None
-
 
 @dataclass(slots=True)
 class ClassInfo:
@@ -114,7 +109,7 @@ class CallEdge:
 class Hazard:
     """One per-function fact a whole-program rule cares about."""
 
-    kind: str  # ``module-write`` / ``rng`` / ``clock`` / ``param-mutation``
+    kind: str  # ``rng`` / ``clock`` / ``param-mutation``
     lineno: int
     col: int
     detail: str
@@ -124,14 +119,9 @@ class Hazard:
 class FunctionFacts:
     """Everything extracted from one function body in a single pass."""
 
-    #: writes to module-level state: (hazard, written name, verb)
-    module_writes: list[tuple[Hazard, str, str]] = field(default_factory=list)
     rng: list[Hazard] = field(default_factory=list)
     clocks: list[Hazard] = field(default_factory=list)
     param_mutations: list[Hazard] = field(default_factory=list)
-    #: terminal names of callables this function calls (for cheap
-    #: "does it ever call X" checks without graph traversal)
-    called_names: frozenset[str] = frozenset()
 
 
 def body_nodes(
@@ -199,15 +189,10 @@ class Program:
         }
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
-        #: module -> names assigned at module level
-        self.module_globals: dict[str, frozenset[str]] = {}
         #: module -> (alias -> module), (alias -> (module, original))
         self.imports: dict[
             str, tuple[dict[str, str], dict[str, tuple[str, str]]]
         ] = {}
-        #: module -> name -> value expr of a module-level assignment
-        #: (type aliases like ``PropagatePayload = tuple[...]``)
-        self.module_assigns: dict[str, dict[str, ast.expr]] = {}
         #: terminal name -> sorted qnames (the dynamic-dispatch fallback)
         self.by_name: dict[str, tuple[str, ...]] = {}
         self._edges: dict[str, tuple[CallEdge, ...]] = {}
@@ -224,11 +209,8 @@ class Program:
     # -- symbol table ---------------------------------------------------------
 
     def _index_module(self, info: ModuleInfo) -> None:
-        module = info.module
-        globals_: set[str] = set()
         module_aliases: dict[str, str] = {}
         from_aliases: dict[str, tuple[str, str]] = {}
-        assigns: dict[str, ast.expr] = {}
         for stmt in info.tree.body:
             if isinstance(stmt, ast.Import):
                 for alias in stmt.names:
@@ -238,26 +220,11 @@ class Program:
                     from_aliases[alias.asname or alias.name] = (
                         stmt.module, alias.name,
                     )
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        globals_.add(target.id)
-                        assigns[target.id] = stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                globals_.add(stmt.target.id)
-                if stmt.value is not None:
-                    assigns[stmt.target.id] = stmt.value
             elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                globals_.add(stmt.name)
                 self._index_function(info, stmt, cls=None, parent=None)
             elif isinstance(stmt, ast.ClassDef):
-                globals_.add(stmt.name)
                 self._index_class(info, stmt)
-        self.module_globals[module] = frozenset(globals_)
-        self.imports[module] = (module_aliases, from_aliases)
-        self.module_assigns[module] = assigns
+        self.imports[info.module] = (module_aliases, from_aliases)
 
     def _index_class(self, info: ModuleInfo, node: ast.ClassDef) -> None:
         qname = f"{info.module}.{node.name}"
@@ -296,7 +263,7 @@ class Program:
             cls=cls, node=node, parent=parent,
         )
         self.functions[qname] = fn
-        # nested defs are their own nodes (closures R010 cares about)
+        # nested defs are their own nodes
         for stmt in ast.walk(node):
             if stmt is node:
                 continue
@@ -320,9 +287,8 @@ class Program:
         """A bare name in ``module`` → the function/class qname it
         denotes, through module-level defs and from-imports.
 
-        ``extra_from`` supplies function-local from-imports — the
-        worker chunk functions import ``broadcast_get`` lazily inside
-        their bodies, and those edges matter most of all.
+        ``extra_from`` supplies function-local from-imports (lazy
+        imports inside a body resolve like module-level ones).
         """
         candidate = f"{module}.{name}"
         if candidate in self.functions or candidate in self.classes:
@@ -355,18 +321,6 @@ class Program:
                     stack.append(resolved)
         return None
 
-    def expand_annotation(self, module: str, node: ast.AST | None) -> set[str]:
-        """Identifiers in an annotation, with module-level type aliases
-        expanded one level (``payload: Payload`` where ``Payload =
-        tuple["View", ...]`` surfaces ``View``)."""
-        idents = _annotation_idents(node)
-        assigns = self.module_assigns.get(module, {})
-        for name in tuple(idents):
-            alias_value = assigns.get(name)
-            if alias_value is not None:
-                idents |= _annotation_idents(alias_value)
-        return idents
-
     # -- call edges -----------------------------------------------------------
 
     def edges_of(self, qname: str) -> tuple[CallEdge, ...]:
@@ -398,7 +352,7 @@ class Program:
     def _function_imports(
         self, fn: FunctionInfo
     ) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
-        """Function-local import aliases (lazy worker-side imports)."""
+        """Function-local import aliases (lazy imports in a body)."""
         local_mod: dict[str, str] = {}
         local_from: dict[str, tuple[str, str]] = {}
         for node in body_nodes(fn.node):
@@ -482,7 +436,7 @@ class Program:
         if not isinstance(func, ast.Attribute):
             return []
         owner = func.value
-        # module alias: ``pool.broadcast_get(...)`` via ``import m``
+        # module alias: ``m.func(...)`` via ``import m``
         if isinstance(owner, ast.Name):
             module_aliases, _ = self.imports.get(fn.module, ({}, {}))
             target_module = module_aliases.get(owner.id)
@@ -591,8 +545,6 @@ class Program:
 
     def _extract_facts(self, fn: FunctionInfo, facts: FunctionFacts) -> None:
         info = self.modules[fn.module]
-        globals_ = self.module_globals.get(fn.module, frozenset())
-        declared_global: set[str] = set()
         params = {
             arg.arg
             for arg in (
@@ -600,49 +552,22 @@ class Program:
                 *fn.node.args.kwonlyargs,
             )
         } - {"self", "cls"}
-        called: set[str] = set()
 
-        def local_source(lineno: int) -> str:
-            return info.source_line(lineno).strip()
-
-        def hazard(node: ast.AST, kind: str, detail: str) -> Hazard:
-            return Hazard(
-                kind=kind,
+        def mutation(node: ast.AST, detail: str) -> None:
+            facts.param_mutations.append(Hazard(
+                kind="param-mutation",
                 lineno=getattr(node, "lineno", fn.node.lineno),
                 col=getattr(node, "col_offset", 0) + 1,
                 detail=detail,
-            )
-
-        for node in body_nodes(fn.node):
-            if isinstance(node, ast.Global):
-                declared_global.update(node.names)
+            ))
 
         def record_write(node: ast.AST, target: ast.AST, verb: str) -> None:
-            if isinstance(target, ast.Name):
-                if target.id in declared_global and target.id in globals_:
-                    facts.module_writes.append((
-                        hazard(node, "module-write",
-                               f"{verb} module-level {target.id!r}"),
-                        target.id, verb,
-                    ))
-                elif target.id in params:
-                    pass  # rebinding a parameter is a local rebind
+            # rebinding a bare name (parameter or not) is a local rebind
+            if not isinstance(target, (ast.Attribute, ast.Subscript)):
                 return
             name = root_name(target)
-            if name is None:
-                return
-            if isinstance(target, (ast.Attribute, ast.Subscript)):
-                if name in globals_ and name not in params and name != "self":
-                    facts.module_writes.append((
-                        hazard(node, "module-write",
-                               f"{verb} module-level {name!r}"),
-                        name, verb,
-                    ))
-                elif name in params:
-                    facts.param_mutations.append(
-                        hazard(node, "param-mutation",
-                               f"{verb} parameter {name!r}")
-                    )
+            if name is not None and name in params:
+                mutation(node, f"{verb} parameter {name!r}")
 
         for node in body_nodes(fn.node):
             if isinstance(node, ast.Assign):
@@ -653,30 +578,16 @@ class Program:
             elif isinstance(node, ast.Delete):
                 for target in node.targets:
                     record_write(node, target, "deletes from")
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if isinstance(func, ast.Attribute):
-                    called.add(func.attr)
-                    if func.attr in _MUTATING_METHODS:
-                        name = root_name(func.value)
-                        if name is not None and name in globals_ and (
-                            name not in params
-                        ):
-                            facts.module_writes.append((
-                                hazard(node, "module-write",
-                                       f"calls .{func.attr}() on "
-                                       f"module-level {name!r}"),
-                                name, f"calls .{func.attr}() on",
-                            ))
-                        elif name is not None and name in params:
-                            facts.param_mutations.append(
-                                hazard(node, "param-mutation",
-                                       f"calls .{func.attr}() on "
-                                       f"parameter {name!r}")
-                            )
-                elif isinstance(func, ast.Name):
-                    called.add(func.id)
-        facts.called_names = frozenset(called)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATING_METHODS
+            ):
+                name = root_name(node.func.value)
+                if name is not None and name in params:
+                    mutation(
+                        node, f"calls .{node.func.attr}() on parameter {name!r}"
+                    )
 
         # RNG / clock facts reuse the per-file checkers, pre-seeded with
         # the module's import aliases so a function body resolves the
@@ -696,25 +607,3 @@ class Program:
                     kind=kind, lineno=finding.line, col=finding.col,
                     detail=finding.message,
                 ))
-
-    # -- call-site scans ------------------------------------------------------
-
-    def call_sites(
-        self, terminal_names: frozenset[str]
-    ) -> Iterator[tuple[FunctionInfo, ast.Call, str]]:
-        """Every call whose callee's terminal name is in the given set,
-        across every function, in deterministic (module, qname) order.
-        Yields ``(enclosing function, call node, terminal name)``."""
-        for qname in sorted(self.functions):
-            fn = self.functions[qname]
-            for node in body_nodes(fn.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = (
-                    func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute)
-                    else None
-                )
-                if name in terminal_names:
-                    yield fn, node, name

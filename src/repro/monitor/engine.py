@@ -71,13 +71,11 @@ class WatchConfig:
     ndcg_threshold: float = 0.9
     #: pipeline seed for world snapshots without an explicit ``@seed``
     seed: int = 0
-    #: process fan-out for world pipelines (never changes outputs)
-    workers: int = 1
     #: trimmed-mean fraction for the hegemony/CTI family
     trim: float = 0.1
     #: thread propagation bases between consecutive world snapshots so
-    #: only origins whose reachable region changed re-propagate; like
-    #: ``workers``, byte-identical output, so excluded from watch_key
+    #: only origins whose reachable region changed re-propagate;
+    #: byte-identical output, so excluded from watch_key
     incremental: bool = True
 
     def __post_init__(self) -> None:
@@ -99,8 +97,8 @@ class WatchConfig:
 
 def watch_key(labels: Sequence[str], config: WatchConfig) -> str:
     """The checkpoint content key for one watch run: the snapshot
-    stream plus every config knob that shapes events (``workers`` is
-    deliberately excluded — fan-out never changes outputs)."""
+    stream plus every config knob that shapes events (``incremental``
+    is deliberately excluded — it never changes outputs)."""
     stream = ",".join(labels)
     grid = ",".join(config.countries) if config.countries is not None else "<auto>"
     return (
@@ -210,7 +208,7 @@ def watch(
                         "watch.load", snapshot=ref.label, kind=ref.kind,
                     ):
                         provider = ref.load(
-                            config.seed, config.workers, config.trim,
+                            config.seed, config.trim,
                             tracer=tracer,
                             propagation_bases=(
                                 bases if config.incremental else None

@@ -53,7 +53,6 @@ class SnapshotRef:
     def load(
         self,
         seed: int,
-        workers: int,
         trim: float,
         tracer=None,
         propagation_bases=None,
@@ -74,7 +73,7 @@ class SnapshotRef:
             from repro.core.pipeline import PipelineConfig, run_pipeline
 
             effective = self.seed if self.seed is not None else seed
-            config = PipelineConfig(seed=effective, workers=workers, trim=trim)
+            config = PipelineConfig(seed=effective, trim=trim)
             return run_pipeline(
                 build_world(self.world, effective), config, tracer=tracer,
                 propagation_bases=propagation_bases,

@@ -1,6 +1,6 @@
 """repro.perf — the batch ranking engine under the pipeline.
 
-Three layers, designed to compose (see DESIGN.md §4):
+Four modules, designed to compose (see DESIGN.md §4):
 
 * :mod:`repro.perf.index` — :class:`PathIndex` buckets sanitized
   records so views are O(selected) lookups; :class:`ViewSlicer` does
@@ -9,12 +9,6 @@ Three layers, designed to compose (see DESIGN.md §4):
   :class:`ViewComputation` memoise the intermediates the metric
   families share (transit suffixes, cones, per-VP betweenness, address
   totals), with hit/miss observability counters.
-* :mod:`repro.perf.parallel` — deterministic process fan-out for
-  propagation origins and stability trials (``workers=1`` stays the
-  byte-identical serial path).
-* :mod:`repro.perf.pool` — :class:`WorkerPool`, the persistent
-  process pool under both fan-outs, with ship-once broadcast of heavy
-  shared state (zero-copy under ``fork``).
 * :mod:`repro.perf.pathstore` — :class:`PathStore`, the
   structure-of-arrays mirror of the sanitized records (flat interned
   token arrays) feeding the suffix bulk-prime and the index's origin
@@ -24,16 +18,14 @@ Three layers, designed to compose (see DESIGN.md §4):
   (written append-only by streaming ingestion), so worlds far larger
   than RAM rank with bounded RSS and byte-identical results.
 
-The pipeline (:class:`repro.core.pipeline.PipelineResult`) wires all
-three together; ``rank_all`` / ``repro-rank sweep`` are the batch entry
+The pipeline (:class:`repro.core.pipeline.PipelineResult`) wires them
+together; ``rank_all`` / ``repro-rank sweep`` are the batch entry
 points.
 """
 
 from repro.perf.cache import SuffixCache, ViewComputation
 from repro.perf.index import PathIndex, ViewSlicer
-from repro.perf.parallel import chunked, propagate_origins, stability_trials
 from repro.perf.pathstore import PathStore
-from repro.perf.pool import WorkerPool, broadcast_get
 from repro.perf.spill import MmapPathStore, open_spill, sanitize_to_store
 
 __all__ = [
@@ -43,11 +35,6 @@ __all__ = [
     "SuffixCache",
     "ViewComputation",
     "ViewSlicer",
-    "WorkerPool",
-    "broadcast_get",
-    "chunked",
     "open_spill",
-    "propagate_origins",
     "sanitize_to_store",
-    "stability_trials",
 ]

@@ -12,8 +12,7 @@ This module keeps the same columns on disk instead:
   columns as the in-memory backend, value for value.
 * :class:`MmapPathStore` maps them back read-only behind the exact
   ``PathStore`` interface (it is a subclass), with lazy records and
-  ``array('q')`` buckets; pickling reduces to the directory path, so
-  workers re-open the maps instead of receiving copied pages.
+  ``array('q')`` buckets.
 * :func:`sanitize_to_store` drives the Table-1 judge block by block
   into a spill directory — :func:`repro.core.sanitize.sanitize` for
   ``store_backend="mmap"``, holding one block, never the record set.
@@ -312,10 +311,6 @@ class MmapPathStore(PathStore):
             vp, vp_country, prefix, prefix_country,
             self.paths[self.record_path[at]], addresses,
         )
-
-    def __reduce__(self):  # type: ignore[no-untyped-def]
-        # never ship mapped pages through a pickle: workers re-open
-        return (type(self), (self.directory,))
 
     def _bucket(self, positions: np.ndarray) -> Sequence[int]:
         bucket = _stdlib_array("q")

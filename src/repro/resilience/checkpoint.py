@@ -175,8 +175,8 @@ class Checkpoint:
 
 # -- content keys -------------------------------------------------------------
 
-#: Config attributes that shape ranking *values*. Telemetry, fan-out
-#: (``workers``), and resilience knobs are deliberately excluded — they
+#: Config attributes that shape ranking *values*. Telemetry, fault
+#: injection and the store backend are deliberately excluded — they
 #: never change output bytes. Shared by every content key (sweep,
 #: trials, and the serving layer's artifact store).
 SEMANTIC_KNOBS = (

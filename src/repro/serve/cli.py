@@ -7,7 +7,7 @@ registry compute. Validation follows the CLI-wide discipline: bad
 input gets a one-line stderr message and exit status 2, never a
 traceback (``tests/test_cli.py`` pins the cases).
 
-Flags (plus the global ``--world/--seed/--workers``):
+Flags (plus the global ``--world/--seed``):
 
 * ``--host`` / ``--port`` — bind address (``--port 0`` picks an
   ephemeral port and prints it, which the smoke tests rely on);
@@ -91,8 +91,6 @@ def run_serve(args: argparse.Namespace, prog: str = "repro-serve") -> int:
         return _fail(
             f"--max-requests must be >= 1 (got {args.max_requests})", prog
         )
-    if args.workers < 1:
-        return _fail(f"--workers must be >= 1 (got {args.workers})", prog)
     if args.no_resume and args.store is None:
         return _fail("--no-resume requires --store", prog)
     metrics: tuple[str, ...] | None = None
@@ -130,9 +128,7 @@ def run_serve(args: argparse.Namespace, prog: str = "repro-serve") -> int:
         countries = tuple(normalized)
 
     tracer = Tracer()
-    result = run_pipeline(
-        world, PipelineConfig(seed=args.seed, workers=args.workers), tracer
-    )
+    result = run_pipeline(world, PipelineConfig(seed=args.seed), tracer)
     store = ArtifactStore(
         store_key(world, result.config),
         path=args.store,
@@ -177,10 +173,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--world", choices=WORLD_CHOICES, default="small")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="process fan-out for the startup pipeline run",
-    )
     add_serve_arguments(parser)
     return run_serve(parser.parse_args(argv), prog="repro-serve")
 

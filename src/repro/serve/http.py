@@ -84,6 +84,10 @@ class ServeHandler(BaseHTTPRequestHandler):
     server: RankingServer
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: headers and body go out as two small writes, and
+    #: with Nagle on a keep-alive client waits out its delayed ACK
+    #: (~40 ms) before the body arrives
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:
         url = urlsplit(self.path)

@@ -3,8 +3,6 @@ caches, and index buckets computed over it must be value-identical to
 the in-memory backend, and a crash mid-ingestion must resume to a
 byte-identical spill."""
 
-import pickle
-
 import pytest
 
 from repro import PipelineConfig, run_pipeline
@@ -225,32 +223,6 @@ class TestCrashResume:
         (tmp_path / "manifest.json").write_text("{}")
         with pytest.raises(SpillFormatError):
             MmapPathStore(str(tmp_path))
-
-
-class TestWorkerTransport:
-    def test_store_pickles_as_directory(self, mmap_result):
-        store = mmap_result.paths.store()
-        payload = pickle.dumps(store)
-        # the payload must be the path, not the mapped pages
-        assert len(payload) < 4096
-        clone = pickle.loads(payload)
-        assert isinstance(clone, MmapPathStore)
-        assert clone.record_count == store.record_count
-        assert [int(v) for v in clone.offsets[:10]] == [
-            int(v) for v in store.offsets[:10]
-        ]
-
-    def test_sweep_with_workers_matches_serial(self, world, memory_result):
-        result = run_pipeline(
-            world, PipelineConfig(seed=0, workers=2, store_backend="mmap")
-        )
-        try:
-            baseline = memory_result.rank_all(("CCI",), ("US", "NL"))
-            fanned = result.rank_all(("CCI",), ("US", "NL"))
-            for key, ranking in baseline.items():
-                assert fanned[key].entries == ranking.entries, key
-        finally:
-            result.close()
 
 
 class TestLifecycle:

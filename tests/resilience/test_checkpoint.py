@@ -1,5 +1,6 @@
 """Tests for content-keyed checkpoints and the resume equivalence."""
 
+import hashlib
 import json
 
 from repro.core.pipeline import PipelineConfig
@@ -184,18 +185,6 @@ class TestContentKeys:
             "small", PipelineConfig(seed=0), metrics, None
         )
 
-    def test_sweep_key_ignores_resilience_knobs(self):
-        from repro.resilience import RetryPolicy
-
-        base = PipelineConfig(seed=0)
-        tweaked = PipelineConfig(
-            seed=0, workers=8, retry=RetryPolicy(max_attempts=5)
-        )
-        metrics = ("AHN",)
-        assert sweep_key("small", base, metrics, None) == sweep_key(
-            "small", tweaked, metrics, None
-        )
-
     def test_sweep_key_tracks_request(self):
         config = PipelineConfig(seed=0)
         assert sweep_key("small", config, ("AHN",), ("AU",)) != sweep_key(
@@ -210,6 +199,40 @@ class TestContentKeys:
         a = trials_key("small", config, "AHN", "AU", [1, 2], 8, 0, 10)
         b = trials_key("small", config, "AHN", "AU", [1, 2, 4], 8, 0, 10)
         assert a != b
+
+
+class TestPinnedKeys:
+    """Checkpoints and serve stores already on disk stay valid: the
+    SHA-256 of each content key is pinned to the value it had before
+    the process fan-out and its config knobs were removed."""
+
+    def test_key_digests_unchanged(self):
+        from repro.monitor.engine import WatchConfig, watch_key
+        from repro.serve.store import store_key
+        from repro.topology.catalog import build_world
+
+        config = PipelineConfig(seed=0)
+        keys = {
+            "sweep": sweep_key("small", config, ("AHN", "CCI"), None),
+            "trials": trials_key(
+                "small", config, "AHN", "AU", [5, 10], 20, 0, 10
+            ),
+            "watch": watch_key(
+                ["paper2021", "paper2023"],
+                WatchConfig(metrics=("CCI", "AHI"), countries=("RU",)),
+            ),
+            "store": store_key(build_world("small", 0), config),
+        }
+        digests = {
+            name: hashlib.sha256(key.encode()).hexdigest()
+            for name, key in keys.items()
+        }
+        assert digests == {
+            "sweep": "5e73bf3de4ba54e398b212ae87485cc2a42e5f57e1c66d81d5627a53e221aabb",
+            "trials": "7edf9b5fed85df34cb70930afdf22b826338630aeb933262bfa4d3aa351a7895",
+            "watch": "656c92f5017fafbd9dbe1c9183302fd4a71fa832ede9ff8173bfbe9f2cef39ef",
+            "store": "69f7969d3b4054864562f12a97023df1758e3ed0ac785cafb495565cd7cc04f5",
+        }
 
 
 class TestRankingPayload:

@@ -1,11 +1,6 @@
-"""Failure-path integration: the three recovery scenarios end to end.
-
-1. a killed fan-out worker → pool respawn → byte-identical pipeline
-   output;
-2. a hung chunk → per-chunk timeout → retry → identical output;
-3. a mid-sweep crash → checkpoint resume → output identical to an
-   uninterrupted sweep (and a resumed stability curve likewise).
-"""
+"""Failure-path integration: a mid-sweep crash → checkpoint resume →
+output identical to an uninterrupted sweep (and a resumed stability
+curve likewise)."""
 
 import pytest
 
@@ -21,7 +16,6 @@ from repro.resilience import (
     Checkpoint,
     FaultPlan,
     InjectedCrash,
-    RetryPolicy,
     sweep_key,
     trials_key,
 )
@@ -38,37 +32,7 @@ def world():
 
 @pytest.fixture(scope="module")
 def clean(world):
-    return run_pipeline(world, PipelineConfig(workers=2))
-
-
-class TestWorkerKillRecovery:
-    def test_killed_worker_yields_identical_routes(self, world, clean):
-        faults = FaultPlan(
-            fail_chunks=frozenset({("propagate", 0)}), kind="exit"
-        )
-        faulty = run_pipeline(
-            world, PipelineConfig(workers=2, faults=faults)
-        )
-        assert faulty.outcome.routes == clean.outcome.routes
-
-    def test_soft_faults_yield_identical_routes(self, world, clean):
-        faults = FaultPlan(seed=3, fail_rate=1.0, kind="raise", attempts=1)
-        faulty = run_pipeline(
-            world, PipelineConfig(workers=2, faults=faults)
-        )
-        assert faulty.outcome.routes == clean.outcome.routes
-
-
-class TestTimeoutRecovery:
-    def test_hung_chunk_times_out_and_matches(self, world, clean):
-        faults = FaultPlan(
-            delay_chunks=frozenset({("propagate", 1)}), delay_s=60.0
-        )
-        policy = RetryPolicy(timeout_s=2.0)
-        faulty = run_pipeline(
-            world, PipelineConfig(workers=2, retry=policy, faults=faults)
-        )
-        assert faulty.outcome.routes == clean.outcome.routes
+    return run_pipeline(world)
 
 
 class TestSweepCheckpointResume:
@@ -82,13 +46,13 @@ class TestSweepCheckpointResume:
 
         crashing = run_pipeline(
             world,
-            PipelineConfig(workers=2, faults=FaultPlan(crash_after_units=2)),
+            PipelineConfig(faults=FaultPlan(crash_after_units=2)),
         )
         with Checkpoint.open(path, key) as checkpoint:
             with pytest.raises(InjectedCrash):
                 crashing.rank_all(self.METRICS, countries, checkpoint=checkpoint)
 
-        resumed_result = run_pipeline(world, PipelineConfig(workers=2))
+        resumed_result = run_pipeline(world)
         with Checkpoint.open(path, key) as checkpoint:
             assert checkpoint.loaded == 2  # the units banked before the crash
             resumed = resumed_result.rank_all(
@@ -102,7 +66,7 @@ class TestSweepCheckpointResume:
         key = sweep_key(world.name, clean.config, self.METRICS, countries)
         with Checkpoint.open(path, key) as checkpoint:
             full = clean.rank_all(self.METRICS, countries, checkpoint=checkpoint)
-        fresh = run_pipeline(world, PipelineConfig(workers=2))
+        fresh = run_pipeline(world)
         with Checkpoint.open(path, key) as checkpoint:
             assert checkpoint.loaded == len(full)
             assert fresh.rank_all(
@@ -116,7 +80,7 @@ class TestStabilityCheckpointResume:
         view = clean.view("national", country)
         sizes, trials, seed, k = [3, 5], 3, 9, 10
         uninterrupted = stability_curve(
-            clean, "CCN", view, sizes=sizes, trials=trials, seed=seed, workers=1
+            clean, "CCN", view, sizes=sizes, trials=trials, seed=seed
         )
         path = tmp_path / "trials.ck"
         key = trials_key(
@@ -126,7 +90,7 @@ class TestStabilityCheckpointResume:
         with Checkpoint.open(path, key) as checkpoint:
             partial = stability_curve(
                 clean, "CCN", view, sizes=sizes, trials=trials, seed=seed,
-                workers=1, checkpoint=checkpoint,
+                checkpoint=checkpoint,
             )
             assert partial == uninterrupted
         truncated = path.read_text().splitlines()[: 1 + 3]  # header + 3 units
@@ -136,7 +100,7 @@ class TestStabilityCheckpointResume:
             assert checkpoint.loaded == 3
             resumed = stability_curve(
                 clean, "CCN", view, sizes=sizes, trials=trials, seed=seed,
-                workers=2, checkpoint=checkpoint,
+                checkpoint=checkpoint,
             )
         assert resumed == uninterrupted
 
@@ -159,13 +123,13 @@ class TestGlobalMetricCheckpointResume:
 
         crashing = run_pipeline(
             world,
-            PipelineConfig(workers=2, faults=FaultPlan(crash_after_units=2)),
+            PipelineConfig(faults=FaultPlan(crash_after_units=2)),
         )
         with Checkpoint.open(path, key) as checkpoint:
             with pytest.raises(InjectedCrash):
                 crashing.rank_all(self.METRICS, countries, checkpoint=checkpoint)
 
-        resumed_result = run_pipeline(world, PipelineConfig(workers=2))
+        resumed_result = run_pipeline(world)
         with Checkpoint.open(path, key) as checkpoint:
             assert checkpoint.loaded == 2  # CCG + AHG banked pre-crash
             assert checkpoint.get("ranking:CCG:<global>") is not None
@@ -190,7 +154,7 @@ class TestSweepUnitDedupe:
         # per-request counting would have crashed on the repeat
         country_result = run_pipeline(
             world,
-            PipelineConfig(workers=2, faults=FaultPlan(crash_after_units=2)),
+            PipelineConfig(faults=FaultPlan(crash_after_units=2)),
         )
         country = country_result.countries_with_national_view()[0]
         rankings = country_result.rank_all(["CCI", "CCI"], [country])

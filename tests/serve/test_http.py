@@ -1,7 +1,10 @@
 """HTTP round-trip tests for ``repro-serve`` on an ephemeral port."""
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -104,6 +107,31 @@ class TestConcurrency:
         for path, bodies in results.items():
             assert len(bodies) == 1, path
             assert next(iter(bodies))[0] == 200
+
+
+class TestKeepAlive:
+    def test_keep_alive_requests_are_not_delayed(self, server):
+        # with Nagle on, every response's body waited out the client's
+        # delayed ACK (~40 ms median per request on one connection)
+        path = "/rank?metric=AHN&country=AU&k=3"
+        connection = http.client.HTTPConnection("127.0.0.1", server.port)
+        try:
+            connection.request("GET", path)  # compute once, then warm
+            assert connection.getresponse().read()
+            latencies = []
+            for _ in range(25):
+                start = time.perf_counter()  # repro: noqa[R002]
+                connection.request("GET", path)
+                response = connection.getresponse()
+                body = response.read()
+                latencies.append(
+                    time.perf_counter() - start  # repro: noqa[R002]
+                )
+                assert response.status == 200
+                assert json.loads(body)["source"] == "store"
+        finally:
+            connection.close()
+        assert statistics.median(latencies) < 0.020, latencies
 
 
 class TestMaxRequests:

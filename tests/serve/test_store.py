@@ -3,7 +3,7 @@
 The coherence satellite: the store must key on world *content*, never
 the catalog name — a regenerated ``name@seed`` world whose content
 changed misses the cache — and on the semantic config knobs only, so
-fan-out (``workers``) never causes a miss.
+telemetry and store-backend knobs never cause a miss.
 """
 
 from repro.core.pipeline import PipelineConfig
@@ -35,12 +35,6 @@ class TestFingerprint:
 
 
 class TestStoreKey:
-    def test_excludes_workers(self):
-        world = build_world("small", 0)
-        assert store_key(world, PipelineConfig(seed=0)) == store_key(
-            world, PipelineConfig(seed=0, workers=8)
-        )
-
     def test_tracks_semantic_knobs(self):
         world = build_world("small", 0)
         assert store_key(world, PipelineConfig(seed=0)) != store_key(
