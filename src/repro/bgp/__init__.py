@@ -4,9 +4,7 @@ from repro.bgp.announcement import Announcement, RibRecord
 from repro.bgp.collectors import Collector, CollectorProject, CollectorSet, VantagePoint
 from repro.bgp.policy import Route, RouteClass
 from repro.bgp.propagation import (
-    PropagationBasis,
     RoutingOutcome,
-    adjacency_delta,
     propagate,
     propagate_all,
 )
@@ -29,7 +27,6 @@ __all__ = [
     "CollectorProject",
     "CollectorSet",
     "InjectionSummary",
-    "PropagationBasis",
     "RibDump",
     "RibGenerationConfig",
     "RibRecord",
@@ -40,7 +37,6 @@ __all__ = [
     "Update",
     "UpdateKind",
     "VantagePoint",
-    "adjacency_delta",
     "churn_profile",
     "daily_updates",
     "diff_ribs",

@@ -26,7 +26,7 @@ to a collector — the raw material of the whole reproduction.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from repro.bgp.policy import Route, RouteClass
@@ -36,52 +36,14 @@ from repro.topology.model import ASGraph
 
 
 @dataclass(frozen=True, slots=True)
-class PropagationBasis:
-    """Everything needed to re-propagate a *changed* graph incrementally.
-
-    Captured by :func:`propagate_all` with ``capture_basis=True`` and fed
-    back on the next snapshot via ``basis=``. ``holders[origin]`` is the
-    set of ASes the (possibly keep-pruned) sweep assigned a route toward
-    ``origin`` — the exact set of nodes whose adjacency rows that
-    origin's BFS ever read, which is what makes the reuse criterion
-    sound: if none of those rows changed (and the keep closure is
-    unchanged), rerunning the BFS would reproduce the same routes
-    byte for byte.
-    """
-
-    adjacency: "_Adjacency"
-    tiebreak: str
-    salt: int
-    keep: frozenset[int] | None
-    relevant: frozenset[int] | None
-    routes: Mapping[int, Mapping[int, Route]]
-    holders: Mapping[int, frozenset[int]]
-
-    def compatible(
-        self, tiebreak: str, salt: int, keep: frozenset[int] | None
-    ) -> bool:
-        """Whether this basis describes the same propagation problem."""
-        return (
-            self.tiebreak == tiebreak
-            and self.salt == salt
-            and self.keep == keep
-        )
-
-
-@dataclass(frozen=True, slots=True)
 class RoutingOutcome:
     """Best routes toward each origin, restricted to the ASes kept.
 
     ``routes[origin][asn]`` is the best :class:`Route` held by ``asn``
     toward ``origin``; absent keys mean the origin was unreachable.
-    ``basis`` is populated only when :func:`propagate_all` ran with
-    ``capture_basis=True`` (it does not participate in equality).
     """
 
     routes: Mapping[int, Mapping[int, Route]]
-    basis: "PropagationBasis | None" = field(
-        default=None, compare=False, repr=False
-    )
 
     def path(self, origin: int, asn: int) -> tuple[int, ...] | None:
         """Convenience lookup of the AS path or ``None``."""
@@ -96,13 +58,13 @@ class RoutingOutcome:
 class _Adjacency:
     """Plain-dict adjacency snapshot for fast inner loops."""
 
-    __slots__ = ("providers", "customers", "peers", "asns")
+    __slots__ = ("providers", "customers", "peers")
 
     def __init__(self, graph: ASGraph) -> None:
-        self.asns = graph.asns()
-        self.providers = {a: tuple(sorted(graph.providers_of(a))) for a in self.asns}
-        self.customers = {a: tuple(sorted(graph.customers_of(a))) for a in self.asns}
-        self.peers = {a: tuple(sorted(graph.peers_of(a))) for a in self.asns}
+        asns = graph.asns()
+        self.providers = {a: tuple(sorted(graph.providers_of(a))) for a in asns}
+        self.customers = {a: tuple(sorted(graph.customers_of(a))) for a in asns}
+        self.peers = {a: tuple(sorted(graph.peers_of(a))) for a in asns}
 
 
 #: graph -> (graph.version, snapshot); weak keys so graphs can die
@@ -114,9 +76,9 @@ def _adjacency_of(graph: ASGraph) -> _Adjacency:
     """The adjacency snapshot for ``graph``, cached per structural
     version.
 
-    Sharing one snapshot object across calls lets every salt plane
-    reuse it and makes the incremental delta check between unchanged
-    snapshots trivial.
+    Sharing one snapshot object across calls lets every salt plane and
+    every single-origin :func:`propagate` call on an unchanged graph
+    reuse it instead of rebuilding the sorted neighbor rows.
     """
     cached = _adjacency_cache.get(graph)
     version = graph.version
@@ -155,27 +117,6 @@ def keep_closure(
                     next_frontier.append(provider)
         frontier = next_frontier
     return frozenset(relevant)
-
-
-def adjacency_delta(old: _Adjacency, new: _Adjacency) -> frozenset[int]:
-    """ASNs whose adjacency rows differ between two snapshots.
-
-    An edge change marks *both* endpoints (each endpoint's row lists the
-    other); an added or removed AS marks itself and, through their rows,
-    every neighbor. Rows are sorted tuples, so comparison is exact.
-    """
-    old_rows = old.providers
-    changed: set[int] = {asn for asn in old.asns if asn not in new.providers}
-    for asn in new.asns:
-        if asn not in old_rows:
-            changed.add(asn)
-        elif (
-            old.providers[asn] != new.providers[asn]
-            or old.customers[asn] != new.customers[asn]
-            or old.peers[asn] != new.peers[asn]
-        ):
-            changed.add(asn)
-    return frozenset(changed)
 
 
 def _hash_mix(holder: int, next_hop: int, origin: int, salt: int = 0) -> int:
@@ -220,29 +161,19 @@ def propagate_all(
     tiebreak: str = "asn",
     salt: int = 0,
     tracer=NULL_TRACER,
-    basis: "PropagationBasis | None" = None,
-    capture_basis: bool = False,
-    delta_threshold: float = 0.5,
 ) -> RoutingOutcome:
     """Propagate every origin and keep routes only at ``keep`` ASes.
 
     ``origins`` defaults to every AS that originates at least one
     prefix; ``keep`` defaults to all ASes (memory scales with
     ``len(origins) * len(keep)``, so pass the VP ASes when you only
-    need collector views).
+    need collector views). A ``keep`` set also prunes each origin's
+    down phase to its :func:`keep_closure`, which leaves every kept
+    route unchanged.
 
     ``tracer`` wraps the sweep in a ``propagate.plane`` span, counts
     origins and kept routes, and samples per-level BFS frontier sizes
     into the ``propagate.frontier`` histogram.
-
-    ``basis`` (a :class:`PropagationBasis` from a previous snapshot)
-    turns the sweep incremental: origins whose BFS never touched a
-    changed adjacency row reuse their stored routes verbatim, the rest
-    recompute against the new graph. The output is byte-identical to a
-    full sweep; if more than ``delta_threshold`` of the origins are
-    dirty the basis is abandoned and the sweep runs in full.
-    ``capture_basis=True`` stores a fresh basis on the returned
-    outcome (``outcome.basis``) for the next snapshot.
     """
     with tracer.span("propagate.plane", tiebreak=tiebreak, salt=salt) as span:
         adjacency = _adjacency_of(graph)
@@ -257,81 +188,25 @@ def propagate_all(
             keep_closure(adjacency, keep_set) if keep_set is not None else None
         )
 
-        # Incremental reuse: an origin is clean iff no AS its previous
-        # BFS assigned a route to has a changed adjacency row — then the
-        # sweep would read exactly the same rows and rebuild exactly the
-        # same routes. The keep closure must also be unchanged, because
-        # phase-3 pruning reads it.
-        reused: dict[int, Mapping[int, Route]] = {}
-        dirty_origins = origin_list
-        if (
-            basis is not None
-            and basis.compatible(tiebreak, salt, keep_set)
-            and basis.relevant == relevant
-        ):
-            changed = adjacency_delta(basis.adjacency, adjacency)
-            dirty = [
-                origin for origin in origin_list
-                if origin not in basis.holders
-                or not changed.isdisjoint(basis.holders[origin])
-            ]
-            if len(dirty) <= delta_threshold * len(origin_list):
-                dirty_origins = dirty
-                dirty_set = set(dirty)
-                reused = {
-                    origin: basis.routes[origin]
-                    for origin in origin_list if origin not in dirty_set
-                }
-
-        computed: dict[int, dict[int, Route]] = {}
-        holders: dict[int, frozenset[int]] = {}
+        all_routes: dict[int, Mapping[int, Route]] = {}
         frontier_hist = tracer.metrics.histogram("propagate.frontier")
-        for origin in dirty_origins:
+        for origin in origin_list:
             routes = _propagate(
                 adjacency, origin, tiebreak, salt, frontier_hist,
                 relevant=relevant,
             )
-            if capture_basis:
-                holders[origin] = frozenset(routes)
             if keep_set is not None:
                 routes = {
                     asn: route for asn, route in routes.items()
                     if asn in keep_set
                 }
-            computed[origin] = routes
-
-        all_routes: dict[int, Mapping[int, Route]] = {}
-        for origin in origin_list:
-            all_routes[origin] = (
-                computed[origin] if origin in computed else reused[origin]
-            )
+            all_routes[origin] = routes
         kept_routes = sum(len(routes) for routes in all_routes.values())
 
-        outcome_basis: PropagationBasis | None = None
-        if capture_basis:
-            if reused and basis is not None:
-                for origin in reused:
-                    holders[origin] = basis.holders[origin]
-            outcome_basis = PropagationBasis(
-                adjacency=adjacency, tiebreak=tiebreak, salt=salt,
-                keep=keep_set, relevant=relevant,
-                routes=all_routes, holders=holders,
-            )
-
-        span.set(
-            origins=len(origin_list), routes=kept_routes,
-            reused=len(reused), recomputed=len(dirty_origins),
-        )
+        span.set(origins=len(origin_list), routes=kept_routes)
         tracer.metrics.counter("propagate.origins").inc(len(origin_list))
         tracer.metrics.counter("propagate.routes").inc(kept_routes)
-        if basis is not None:
-            tracer.metrics.counter("propagate.incremental.reused").inc(
-                len(reused)
-            )
-            tracer.metrics.counter("propagate.incremental.recomputed").inc(
-                len(dirty_origins)
-            )
-    return RoutingOutcome(all_routes, basis=outcome_basis)
+    return RoutingOutcome(all_routes)
 
 
 def _propagate(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from repro.bgp.propagation import PropagationBasis, RoutingOutcome, propagate_all
+from repro.bgp.propagation import RoutingOutcome, propagate_all
 from repro.bgp.rib import RibGenerationConfig, RibSeries, generate_rib_days
 from repro.core.ranking import Ranking
 from repro.core.registry import (
@@ -166,14 +166,6 @@ class PipelineResult:
         """The collected telemetry (:class:`repro.obs.Tracer`), or
         ``None`` when the run was not traced."""
         return self._tracer if self._tracer.enabled else None
-
-    def propagation_bases(self) -> "list[PropagationBasis | None]":
-        """Per-plane :class:`repro.bgp.propagation.PropagationBasis`
-        captured by the run (``None`` entries when the run was not
-        asked to capture them) — feed these to the next snapshot's
-        ``run_pipeline(..., propagation_bases=...)`` for incremental
-        re-propagation."""
-        return [outcome.basis for outcome in self.outcomes]
 
     def close(self) -> None:
         """Remove the run-owned spill temp directory, if any
@@ -430,21 +422,12 @@ class Pipeline:
         self,
         world: World,
         tracer: "Tracer | None" = None,
-        propagation_bases: "list[PropagationBasis | None] | None" = None,
-        capture_bases: bool = False,
     ) -> PipelineResult:
         """Execute every stage of Figure 6 on one world.
 
         ``tracer`` overrides the tracer built from ``config.trace``
         (pass a preconfigured :class:`repro.obs.Tracer` to share one
         registry across runs or to tune memory capture).
-
-        ``propagation_bases`` (one per salt plane, from a previous
-        snapshot's :meth:`PipelineResult.propagation_bases`) makes the
-        propagate stage incremental: only origins whose reachable
-        region changed re-run, with byte-identical output.
-        ``capture_bases`` records fresh bases on this run's outcomes
-        for the *next* snapshot.
         """
         config = self.config
         if tracer is None:
@@ -460,12 +443,6 @@ class Pipeline:
                     propagate_all(
                         world.graph, keep=world.vp_asns(),
                         tiebreak=config.tiebreak, salt=salt, tracer=tracer,
-                        basis=(
-                            propagation_bases[salt]
-                            if propagation_bases is not None
-                            and salt < len(propagation_bases) else None
-                        ),
-                        capture_basis=capture_bases,
                     )
                     for salt in range(config.path_diversity)
                 ]
@@ -535,11 +512,6 @@ def run_pipeline(
     world: World,
     config: PipelineConfig | None = None,
     tracer: "Tracer | None" = None,
-    propagation_bases: "list[PropagationBasis | None] | None" = None,
-    capture_bases: bool = False,
 ) -> PipelineResult:
     """One-shot convenience wrapper around :class:`Pipeline`."""
-    return Pipeline(config or PipelineConfig()).run(
-        world, tracer,
-        propagation_bases=propagation_bases, capture_bases=capture_bases,
-    )
+    return Pipeline(config or PipelineConfig()).run(world, tracer)

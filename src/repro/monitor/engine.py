@@ -6,7 +6,8 @@ against the previous snapshot (:mod:`repro.monitor.drift`), and emits
 the typed event stream (:mod:`repro.monitor.events`). One snapshot's
 provider is alive at a time; the previous snapshot survives only as its
 grid of rankings, so day N-1 is never recomputed and memory stays flat
-in the stream length.
+in the stream length. Snapshots share no propagation state: every world
+snapshot runs the pipeline's one full propagation sweep.
 
 Determinism contract (pinned by ``tests/monitor/test_engine.py``):
 
@@ -73,10 +74,6 @@ class WatchConfig:
     seed: int = 0
     #: trimmed-mean fraction for the hegemony/CTI family
     trim: float = 0.1
-    #: thread propagation bases between consecutive world snapshots so
-    #: only origins whose reachable region changed re-propagate;
-    #: byte-identical output, so excluded from watch_key
-    incremental: bool = True
 
     def __post_init__(self) -> None:
         if not self.metrics:
@@ -97,8 +94,7 @@ class WatchConfig:
 
 def watch_key(labels: Sequence[str], config: WatchConfig) -> str:
     """The checkpoint content key for one watch run: the snapshot
-    stream plus every config knob that shapes events (``incremental``
-    is deliberately excluded — it never changes outputs)."""
+    stream plus every config knob that shapes events."""
     stream = ",".join(labels)
     grid = ",".join(config.countries) if config.countries is not None else "<auto>"
     return (
@@ -181,10 +177,6 @@ def watch(
     events: list[dict] = []
     previous: dict[tuple[str, str | None], Ranking] | None = None
     previous_label: str | None = None
-    #: per-plane propagation bases handed from one world snapshot's
-    #: pipeline to the next (None after a release snapshot, a resume
-    #: hit, or with config.incremental off)
-    bases: list | None = None
     computed_units = 0
     resumed_units = 0
 
@@ -208,12 +200,7 @@ def watch(
                         "watch.load", snapshot=ref.label, kind=ref.kind,
                     ):
                         provider = ref.load(
-                            config.seed, config.trim,
-                            tracer=tracer,
-                            propagation_bases=(
-                                bases if config.incremental else None
-                            ),
-                            capture_bases=config.incremental,
+                            config.seed, config.trim, tracer=tracer,
                         )
                     metrics.counter("monitor.snapshots.loaded").inc()
                 return provider
@@ -325,14 +312,9 @@ def watch(
 
             previous = current
             previous_label = ref.label
-            # hand this snapshot's propagation bases to the next one
-            # (and release its worker pool — only one provider's
-            # resources stay live at a time)
-            bases = None
+            # release this snapshot's provider (its spill directory,
+            # if any) — only one provider's resources stay live at a time
             if provider is not None:
-                basis_getter = getattr(provider, "propagation_bases", None)
-                if config.incremental and basis_getter is not None:
-                    bases = basis_getter()
                 closer = getattr(provider, "close", None)
                 if closer is not None:
                     closer()

@@ -55,19 +55,13 @@ class SnapshotRef:
         seed: int,
         trim: float,
         tracer=None,
-        propagation_bases=None,
-        capture_bases: bool = False,
     ):
         """Materialize the snapshot's ranking provider.
 
-        World refs run the full pipeline (under ``tracer`` so its
-        stages appear as spans of the surrounding watch.load span);
-        release refs open a :class:`ReplaySession` over the file.
-
-        ``propagation_bases``/``capture_bases`` thread incremental
-        propagation state between consecutive world snapshots (see
-        :meth:`repro.core.pipeline.PipelineResult.propagation_bases`);
-        release refs ignore both.
+        World refs run the full pipeline, with its own propagation
+        sweep (under ``tracer`` so its stages appear as spans of the
+        surrounding watch.load span); release refs open a
+        :class:`ReplaySession` over the file.
         """
         if self.kind == "world":
             from repro.core.pipeline import PipelineConfig, run_pipeline
@@ -76,8 +70,6 @@ class SnapshotRef:
             config = PipelineConfig(seed=effective, trim=trim)
             return run_pipeline(
                 build_world(self.world, effective), config, tracer=tracer,
-                propagation_bases=propagation_bases,
-                capture_bases=capture_bases,
             )
         return ReplaySession.from_file(self.path, trim=trim)
 

@@ -19,11 +19,17 @@ Flags (plus the global ``--world/--seed``):
 * ``--max-requests N`` — serve N requests then exit (smoke/bench);
 * ``--trace`` — print the obs stage report (``serve.*`` stats) on
   shutdown.
+
+SIGINT and SIGTERM both end the serve loop cleanly: the store and the
+pipeline result are closed and the process exits 0. SIGINT is handled
+even when the daemon inherited it as ignored, which is what a shell
+does to a background job (``repro-serve ... &``).
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from repro.core.pipeline import PipelineConfig, run_pipeline
@@ -44,6 +50,10 @@ DEFAULT_PORT = 8732
 def _fail(message: str, prog: str) -> int:
     print(f"{prog}: error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _interrupt(signum: int, frame: object) -> None:
+    raise KeyboardInterrupt
 
 
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
@@ -144,17 +154,26 @@ def run_serve(args: argparse.Namespace, prog: str = "repro-serve") -> int:
     server = RankingServer(
         (args.host, args.port), service, max_requests=args.max_requests
     )
-    print(
-        f"{prog}: serving world={world.name} "
-        f"fingerprint={service.fingerprint} "
-        f"on http://{args.host}:{server.port}",
-        file=sys.stderr, flush=True,
-    )
+    # Installed, not inherited: a background job starts with SIGINT
+    # ignored, and Python then never raises KeyboardInterrupt itself.
+    # Installed before the readiness line, which supervisors wait for.
+    previous = {
+        signum: signal.signal(signum, _interrupt)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
     try:
+        print(
+            f"{prog}: serving world={world.name} "
+            f"fingerprint={service.fingerprint} "
+            f"on http://{args.host}:{server.port}",
+            file=sys.stderr, flush=True,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
         server.server_close()
         store.close()
         result.close()

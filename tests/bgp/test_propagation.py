@@ -1,9 +1,16 @@
 """Tests for valley-free propagation, including Gao–Rexford properties."""
 
+import random
+
 import pytest
 
 from repro.bgp.policy import RouteClass
-from repro.bgp.propagation import propagate, propagate_all
+from repro.bgp.propagation import (
+    _adjacency_of,
+    keep_closure,
+    propagate,
+    propagate_all,
+)
 from repro.topology import GeneratorConfig, generate_world, small_profiles
 from repro.topology.model import ASGraph
 
@@ -118,6 +125,71 @@ class TestPropagateAll:
         graph.node(2).originate("10.0.0.0/24", "US")
         outcome = propagate_all(graph)
         assert outcome.origins() == [2]
+
+
+class TestAdjacencyCache:
+    def test_same_version_snapshot_is_cached(self):
+        graph = build(edges_p2c=[(1, 2), (2, 3)])
+        assert _adjacency_of(graph) is _adjacency_of(graph)
+
+    def test_mutation_invalidates_snapshot(self):
+        graph = build(edges_p2c=[(1, 2), (2, 3)], asns=[4])
+        before = _adjacency_of(graph)
+        graph.add_p2p(3, 4)
+        after = _adjacency_of(graph)
+        assert after is not before
+        assert after.peers[3] == (4,) and before.peers[3] == ()
+
+
+class TestKeepClosure:
+    def test_closure_climbs_provider_chains(self):
+        graph = build(edges_p2c=[(1, 2), (2, 3), (1, 4)])
+        closure = keep_closure(_adjacency_of(graph), {3})
+        assert closure == frozenset({3, 2, 1})
+
+    def test_peers_are_not_pulled_in(self):
+        graph = build(edges_p2c=[(1, 2)], edges_p2p=[(2, 3)])
+        assert keep_closure(_adjacency_of(graph), {2}) == frozenset({2, 1})
+
+
+SMALL = GeneratorConfig(
+    profiles=small_profiles(), clique_homes=("US", "US", "SE", "JP")
+)
+
+
+@pytest.fixture(scope="module", params=[1, 7, 11], ids=lambda s: f"seed{s}")
+def small_world(request):
+    return generate_world(SMALL, seed=request.param, name="small")
+
+
+class TestKeepPruning:
+    """``propagate_all(keep=K)`` prunes each origin's down phase to the
+    provider closure of ``K``; the kept routes must equal the unpruned
+    sweep's routes restricted to ``K``, route for route."""
+
+    @pytest.mark.parametrize("salt", [0, 1, 2])
+    @pytest.mark.parametrize("tiebreak", ["asn", "hash"])
+    def test_pruned_sweep_equals_restricted_full_sweep(
+        self, small_world, tiebreak, salt
+    ):
+        graph = small_world.graph
+        full = propagate_all(graph, tiebreak=tiebreak, salt=salt).routes
+        asns = sorted(graph.asns())
+        rng = random.Random(salt)
+        keeps = [small_world.vp_asns()] + [
+            rng.sample(asns, size) for size in (1, 5, len(asns) // 3)
+        ]
+        for keep in keeps:
+            kept = set(keep)
+            pruned = propagate_all(
+                graph, keep=keep, tiebreak=tiebreak, salt=salt
+            ).routes
+            assert pruned == {
+                origin: {
+                    asn: route for asn, route in routes.items() if asn in kept
+                }
+                for origin, routes in full.items()
+            }, sorted(kept)
 
 
 def _label_sequence(graph, path):
